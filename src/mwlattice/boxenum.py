@@ -31,7 +31,7 @@ from typing import Sequence
 
 from . import matrices as mx
 from .errors import FormError
-from .lattice import _floor_sqrt_plus
+from .lattice import _floor_sqrt_plus, as_integer_gram
 
 _CHUNK = 1 << 20
 _INT64_NORM_LIMIT = 1 << 50
@@ -146,7 +146,7 @@ def box_short_vectors(gram: Sequence[Sequence], bound) -> tuple[tuple[int, ...],
     bound = Fraction(bound)
     if n == 0 or bound < 0:
         return ()
-    int_gram, scale = _int_gram(gram)
+    int_gram, scale = as_integer_gram(gram)
     # Positive definiteness check and dual diagonal for the radii.
     try:
         inv = mx.inverse(gram)
@@ -171,16 +171,3 @@ def box_short_vectors(gram: Sequence[Sequence], bound) -> tuple[tuple[int, ...],
     else:
         found = _enumerate_python(int_gram, radii, tn, td)
     return tuple(sorted(tuple(v) for v in found))
-
-
-def _int_gram(gram):
-    denom = 1
-    for row in gram:
-        for x in row:
-            f = Fraction(x)
-            if f.denominator != 1:
-                from math import lcm
-
-                denom = lcm(denom, f.denominator)
-    scaled = tuple(tuple(int(Fraction(x) * denom) for x in row) for row in gram)
-    return scaled, denom

@@ -22,7 +22,7 @@ import sys
 from .ade import classify_ade_germ
 from .errors import InputFormatError, InternalConsistencyError, MWLatticeError
 from .fibers import classify_shape, dual_graph, fiber_multiplicities, to_dot
-from .mw import mw_group, mw_rank_by_formula, mwl
+from .mw import mw_rank_by_formula, mwl
 from .pencil import (
     branch_decomposition,
     contact_order_at_origin,
@@ -97,11 +97,6 @@ def _resolve_scenario(args):
     return _from_input("genus", scenario_all_irreducible, args.g)
 
 
-def _validation_failures(scenario):
-    report = validate_scenario(scenario)
-    return [c for c in report.checks if not c.passed]
-
-
 def _print_failures(failures) -> None:
     for check in failures:
         detail = ": %s" % check.detail if check.detail else ""
@@ -110,12 +105,12 @@ def _print_failures(failures) -> None:
 
 def _cmd_mw(args) -> int:
     scenario = _resolve_scenario(args)
-    failures = _validation_failures(scenario)
+    failures = validate_scenario(scenario).failures()
     if failures:
         _print_failures(failures)
         return 1
-    group = mw_group(scenario)
     report = mwl(scenario)
+    group = report.group
     if args.report == "json":
         doc = {
             "scenario": scenario.name,
@@ -156,7 +151,7 @@ def _cmd_mw(args) -> int:
 
 def _cmd_fiber(args) -> int:
     scenario = _resolve_scenario(args)
-    failures = _validation_failures(scenario)
+    failures = validate_scenario(scenario).failures()
     if failures:
         _print_failures(failures)
         return 1
@@ -308,7 +303,9 @@ def _parse_genera(text: str):
             genera = (int(text),)
     except ValueError:
         raise InputFormatError("bad genus range %r" % text) from None
-    if not genera or any(g < 1 for g in genera):
+    if not genera:
+        raise InputFormatError("empty genus range %r" % text)
+    if any(g < 1 for g in genera):
         raise InputFormatError("genera must be positive")
     return genera
 

@@ -200,12 +200,14 @@ def _floor_sqrt_plus(c2: Fraction, shift: Fraction) -> int:
     return guess
 
 
-def short_vectors(obj, bound) -> tuple[tuple[int, ...], ...]:
-    """All nonzero vectors of norm <= bound, in basis coordinates.
+def short_vectors_with_norms(obj, bound) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    """All nonzero vectors of norm <= bound, each paired with its norm.
 
     ``obj`` may be an IntegerLattice or a positive definite Gram matrix
-    (integer or rational entries).  Output is sorted lexicographically and
-    closed under negation; exact arithmetic throughout.
+    (integer or rational entries).  Pairs are sorted lexicographically by
+    vector and closed under negation.  The Fincke-Pohst leaf already holds
+    ``bound - v G v^T`` exactly, so each norm comes free with its vector.
+    Raises FormError when the form is not positive definite.
     """
     gram = obj.gram() if isinstance(obj, IntegerLattice) else mx.mat(obj)
     bound = Fraction(bound)
@@ -213,13 +215,13 @@ def short_vectors(obj, bound) -> tuple[tuple[int, ...], ...]:
     if n == 0 or bound < 0:
         return ()
     d, r = ldl(gram)
-    results: list[tuple[int, ...]] = []
+    results: list[tuple[tuple[int, ...], Fraction]] = []
     x = [0] * n
 
     def descend(i: int, remaining: Fraction):
         if i < 0:
             if any(x):
-                results.append(tuple(x))
+                results.append((tuple(x), bound - remaining))
             return
         s = Fraction(0)
         for j in range(i + 1, n):
@@ -236,6 +238,14 @@ def short_vectors(obj, bound) -> tuple[tuple[int, ...], ...]:
 
     descend(n - 1, bound)
     return tuple(sorted(results))
+
+
+def short_vectors(obj, bound) -> tuple[tuple[int, ...], ...]:
+    """All nonzero vectors of norm <= bound, in basis coordinates.
+
+    Same search and order as :func:`short_vectors_with_norms`, vectors only.
+    """
+    return tuple(v for v, _ in short_vectors_with_norms(obj, bound))
 
 
 def vector_norms(gram, vectors):

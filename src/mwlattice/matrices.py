@@ -34,10 +34,6 @@ def identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zeros(r: int, c: int) -> IntMatrix:
-    return tuple((0,) * c for _ in range(r))
-
-
 def transpose(m: Sequence[Sequence]) -> tuple:
     return tuple(zip(*m)) if m else ()
 
@@ -318,7 +314,7 @@ def left_kernel_basis(m: Sequence[Sequence[int]]) -> IntMatrix:
     if not m:
         return ()
     u, s, _ = smith_normal_form(m)
-    r = len(invariant_factors(m))
+    r = sum(1 for f in diagonal_of(s) if f != 0)
     return tuple(u[r:])
 
 

@@ -29,10 +29,8 @@ from .lattice import (
     IntegerLattice,
     cokernel_invariants,
     dual_gram,
-    ldl,
     orthogonal_complement,
-    short_vectors,
-    vector_norms,
+    short_vectors_with_norms,
 )
 from .scenarios import Scenario
 
@@ -90,30 +88,29 @@ class MWLReport:
     identified_as: str | None
 
 
-def mwl(scenario: Scenario, root_bound: int = 2) -> MWLReport:
+def mwl(scenario: Scenario) -> MWLReport:
     """Mordell-Weil lattice report for a scenario.
 
     ``gram`` is the Gram matrix of the dual basis, i.e. of the
-    Mordell-Weil lattice itself with its height pairing.
+    Mordell-Weil lattice itself with its height pairing.  One short-vector
+    search up to norm 2 gives both the root count and the D_n^+ check; it
+    raises FormError unless the lattice is positive definite.
     """
     group = mw_group(scenario)
     t_neg = trivial_lattice(scenario, negate=True)
     t_gram = t_neg.gram()
     t_disc = abs(mx.det(t_gram)) if t_gram else Fraction(1)
     complement = orthogonal_complement(t_neg)
-    c_gram = complement.gram()
     if complement.rank:
-        ldl(c_gram)  # raises FormError unless positive definite
-    dual, c_disc = dual_gram(c_gram) if complement.rank else ((), Fraction(1))
-    discriminant = Fraction(1) / c_disc if c_disc else Fraction(0)
-    if complement.rank:
-        vectors = short_vectors(dual, root_bound)
-        norms = vector_norms(dual, vectors)
-        root_count = sum(1 for nv in norms if nv == 2)
-        identified = identify_dn_plus(dual).label
+        dual, c_disc = dual_gram(complement.gram())
+        found = short_vectors_with_norms(dual, 2)
+        root_count = sum(1 for _, nv in found if nv == 2)
+        identified = identify_dn_plus(dual, found).label
     else:
+        dual, c_disc = (), Fraction(1)
         root_count = 0
         identified = None
+    discriminant = Fraction(1) / c_disc
     if group.free_rank != complement.rank:
         raise FormError(
             "complement rank %d does not match Mordell-Weil rank %d"
@@ -148,12 +145,14 @@ class LatticeIdentification:
         return self.label is not None
 
 
-def identify_dn_plus(gram) -> LatticeIdentification:
+def identify_dn_plus(gram, found=None) -> LatticeIdentification:
     """Recognize the unimodular lattices D_n^+ (and E_8 for n = 8).
 
     Requires an integral positive definite unimodular Gram matrix whose
     norm-2 vectors span a sublattice of index 2 with 2n(n-1) roots; for
     n = 8 the 240 roots span everything and the lattice is E_8.
+    ``found`` may carry ``short_vectors_with_norms(gram, 2)`` when the
+    caller already has it; otherwise the search runs here.
     """
 
     def miss(reason: str) -> LatticeIdentification:
@@ -170,17 +169,16 @@ def identify_dn_plus(gram) -> LatticeIdentification:
     d = abs(mx.det(igram))
     if d != 1:
         return miss("determinant is %s, expected 1" % d)
-    try:
-        ldl(igram)
-    except FormError:
-        return miss("Gram matrix is not positive definite")
-    vectors = short_vectors(igram, 2)
-    norms = vector_norms(igram, vectors)
+    if found is None:
+        try:
+            found = short_vectors_with_norms(igram, 2)
+        except FormError:
+            return miss("Gram matrix is not positive definite")
     # Z^n carries the same root data as D_n^+ but contains unit vectors;
     # the two coincide only at n = 4, where D_4^+ is Z^4.
-    if n != 4 and any(nv == 1 for nv in norms):
+    if n != 4 and any(nv == 1 for _, nv in found):
         return miss("lattice contains norm-1 vectors")
-    roots = [v for v, nv in zip(vectors, norms) if nv == 2]
+    roots = [v for v, nv in found if nv == 2]
     count = len(roots)
     if count == 0:
         return miss("lattice has no norm-2 vectors")

@@ -276,6 +276,17 @@ def test_verify_all_bad_range(capsys):
     code, _, err = run(capsys, "verify-all", "--g", "0..2", "--seed", "0")
     assert code == 2
     assert "genera must be positive" in err
+    code, out, err = run(capsys, "verify-all", "--g", "3..1", "--seed", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "input error: empty genus range '3..1'\n"
+
+
+def test_verify_all_beyond_frozen_genera(capsys):
+    # D_20^+ and D_24^+; the box oracle is skipped above ORACLE_RANK_LIMIT
+    code, out, _ = run(capsys, "verify-all", "--g", "4..5", "--seed", "0")
+    assert code == 0, out
+    assert out.splitlines()[-1] == "11/11 criteria passed"
 
 
 def test_console_script():

@@ -18,6 +18,7 @@ from mwlattice.lattice import (
     orthogonal_complement,
     saturate,
     short_vectors,
+    short_vectors_with_norms,
     size_reduce,
     vector_norms,
 )
@@ -141,6 +142,8 @@ def test_short_vectors_counts(gram, norm, count):
     vectors = short_vectors(gram, norm)
     norms = vector_norms(gram, vectors)
     assert sum(1 for x in norms if x == norm) == count
+    # the norms read off the search leaves are the exact v G v^T
+    assert short_vectors_with_norms(gram, norm) == tuple(zip(vectors, norms))
     # closed under negation and sorted
     vs = set(vectors)
     assert all(tuple(-x for x in v) in vs for v in vectors)

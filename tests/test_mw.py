@@ -6,8 +6,8 @@ import pytest
 
 from mwlattice import matrices as mx
 from mwlattice.catalog import build_catalog, catalog_entry
-from mwlattice.errors import InvalidModelError
-from mwlattice.lattice import AbelianGroupInvariants
+from mwlattice.errors import FormError, InvalidModelError
+from mwlattice.lattice import AbelianGroupInvariants, short_vectors_with_norms
 from mwlattice.mw import (
     EquivalenceReport,
     LatticeIdentification,
@@ -25,7 +25,7 @@ from mwlattice.scenarios import (
     scenario_all_irreducible,
     scenario_trivial_mw,
 )
-from mwlattice.surface import SurfaceModel, exceptional, fiber_class
+from mwlattice.surface import SurfaceModel, delta, exceptional, fiber_class
 
 E8 = (
     (2, -1, 0, 0, 0, 0, 0, 0),
@@ -100,6 +100,15 @@ def test_mwl_reports_frozen(name, rank, disc, roots, label):
         assert mx.det(gram) == disc
 
 
+def test_mwl_degenerate_complement_raises():
+    # with Delta as zero section, T = <Delta, F> and F.F = F.Delta = 0, so
+    # F lies in the complement of T and its Gram matrix is singular
+    model = SurfaceModel.maximal(1, 2)
+    sc = Scenario("delta-section", model, fiber_class(model), (delta(model),))
+    with pytest.raises(FormError, match="degenerate"):
+        mwl(sc)
+
+
 def test_mwl_trivial_lattice_discriminant():
     # on the trivial scenario T = NS so |det| = 1; all-irreducible has
     # T = <O, F> with Gram ((-1, 1), (1, 0)), determinant -1
@@ -108,8 +117,15 @@ def test_mwl_trivial_lattice_discriminant():
         assert mwl(scenario_all_irreducible(g)).trivial_discriminant == 1
 
 
+def identify_both_ways(gram):
+    """identify_dn_plus searching itself, checked against a precomputed search."""
+    result = identify_dn_plus(gram)
+    assert identify_dn_plus(gram, short_vectors_with_norms(gram, 2)) == result
+    return result
+
+
 def test_identify_e8():
-    result = identify_dn_plus(E8)
+    result = identify_both_ways(E8)
     assert result.matched
     assert result.label == "D_8^+ = E_8"
     assert "240" in result.reason
@@ -117,21 +133,21 @@ def test_identify_e8():
 
 def test_identify_d4_plus_is_z4():
     # the n = 4 exception: D_4^+ and Z^4 are the same lattice
-    result = identify_dn_plus(mx.identity(4))
+    result = identify_both_ways(mx.identity(4))
     assert result.label == "D_4^+"
 
 
 def test_identify_misses_name_the_invariant():
-    assert identify_dn_plus(()).reason == "rank is 0"
+    assert identify_both_ways(()).reason == "rank is 0"
     half = ((Fraction(1, 2),),)
-    assert "not integral" in identify_dn_plus(half).reason
-    assert "determinant" in identify_dn_plus(((2,),)).reason
+    assert "not integral" in identify_both_ways(half).reason
+    assert "determinant" in identify_both_ways(((2,),)).reason
     indefinite = ((1, 0), (0, -1))
     assert "not positive definite" in identify_dn_plus(indefinite).reason
     # Z^n for n != 4 carries the same root data as D_n^+ (2n(n-1) roots
     # spanning an index-2 sublattice) but contains unit vectors
     for n in (1, 2, 3, 12):
-        miss = identify_dn_plus(mx.identity(n))
+        miss = identify_both_ways(mx.identity(n))
         assert not miss.matched, n
         assert "norm-1" in miss.reason
 
@@ -142,7 +158,7 @@ def test_identify_rejects_e8_plus_z():
     gram = tuple(
         tuple(list(row) + [0]) for row in E8
     ) + ((0,) * 8 + (1,),)
-    miss = identify_dn_plus(gram)
+    miss = identify_both_ways(gram)
     assert not miss.matched
     assert "norm-1" in miss.reason
 
@@ -155,7 +171,7 @@ def test_identify_distinguishes_e8e8_from_d16_plus():
     ) + tuple(
         tuple([0] * 8 + list(row)) for row in E8
     )
-    miss = identify_dn_plus(gram)
+    miss = identify_both_ways(gram)
     assert not miss.matched
     assert "index invariants" in miss.reason
 
