@@ -9,25 +9,25 @@ and bound b, every vector v with v G v^T <= b satisfies
 (Cauchy-Schwarz against the dual basis), so enumerating the integer box
 with those radii and filtering by the exact norm is a complete search.
 
-Three interchangeable backends exist:
+Two interchangeable backends exist:
 
-* ``compiled``: Cython odometer with incremental Gram updates,
-* ``numpy``: chunked vectorized scan of half of the box (mirrored),
-* ``python``: direct product loop, arbitrary precision.
+* ``numpy`` (the default): chunked vectorized scan of half of the box
+  (mirrored), in float64 on integer values below 2^52, which is exact;
+* ``python``: direct product loop in arbitrary precision, the reference.
 
-The compiled kernel and the numpy scan work in 64-bit integers (numpy in
-float64 on integer values below 2^52, which is exact); a conservative
-overflow precheck falls back to the pure Python backend otherwise, so the
-result never depends on the backend.
+A conservative int64 overflow precheck sends any box the numpy scan cannot
+handle exactly to the python backend, so the result never depends on the
+backend.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from fractions import Fraction
 from math import prod
 from typing import Sequence
+
+import numpy as _np
 
 from . import matrices as mx
 from .errors import FormError
@@ -36,25 +36,7 @@ from .lattice import _floor_sqrt_plus, as_integer_gram
 _CHUNK = 1 << 20
 _INT64_NORM_LIMIT = 1 << 50
 
-try:  # pragma: no cover - exercised only when the extension is built
-    if os.environ.get("MWLATTICE_NO_EXT"):
-        raise ImportError("disabled by MWLATTICE_NO_EXT")
-    from . import _boxenum as _compiled
-except ImportError:
-    _compiled = None
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a hard dependency
-    _np = None
-
-if _compiled is not None:
-    _DEFAULT_BACKEND = "compiled"
-elif _np is not None:
-    _DEFAULT_BACKEND = "numpy"
-else:  # pragma: no cover
-    _DEFAULT_BACKEND = "python"
-
+_DEFAULT_BACKEND = "numpy"
 _BACKEND = _DEFAULT_BACKEND
 
 
@@ -64,16 +46,12 @@ def enumeration_backend() -> str:
 
 
 def set_backend(name: str | None):
-    """Force a backend ('compiled', 'numpy', 'python') or reset with None."""
+    """Force a backend ('numpy', 'python') or reset with None."""
     global _BACKEND
     if name is None:
         _BACKEND = _DEFAULT_BACKEND
         return
-    if name == "compiled" and _compiled is None:
-        raise ValueError("compiled kernel is not available")
-    if name == "numpy" and _np is None:
-        raise ValueError("numpy is not available")
-    if name not in ("compiled", "numpy", "python"):
+    if name not in ("numpy", "python"):
         raise ValueError("unknown backend %r" % name)
     _BACKEND = name
 
@@ -159,14 +137,7 @@ def box_short_vectors(gram: Sequence[Sequence], bound) -> tuple[tuple[int, ...],
     threshold = bound * scale
     tn, td = threshold.numerator, threshold.denominator
 
-    backend = _BACKEND
-    if backend != "python" and not _box_fits_int64(int_gram, radii, tn, td):
-        backend = "python"
-    if backend == "compiled":
-        found = _compiled.enumerate_box(
-            [list(row) for row in int_gram], list(radii), tn, td
-        )
-    elif backend == "numpy":
+    if _BACKEND == "numpy" and _box_fits_int64(int_gram, radii, tn, td):
         found = _enumerate_numpy(int_gram, radii, tn, td)
     else:
         found = _enumerate_python(int_gram, radii, tn, td)

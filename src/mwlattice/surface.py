@@ -35,10 +35,10 @@ class SurfaceModel:
     g: int
 
     def __post_init__(self):
-        if self.d < 0 or self.n < 0:
-            raise InvalidModelError("d and n must be nonnegative")
         if self.g < 1:
             raise InvalidModelError("genus must be at least 1")
+        if self.d < 0 or self.n < 0:
+            raise InvalidModelError("d and n must be nonnegative")
 
     @classmethod
     def maximal(cls, g: int, d: int | None = None) -> "SurfaceModel":

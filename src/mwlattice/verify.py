@@ -99,7 +99,7 @@ def check_maximal_mwl(genera) -> CriterionResult:
         if rep.rank <= ORACLE_RANK_LIMIT:
             box = oracles.brute_force_short_vectors(rep.gram, 2)
             direct = short_vectors(rep.gram, 2)
-            if tuple(sorted(box)) != tuple(sorted(direct)):
+            if box != direct:
                 failures.append("g=%d enumeration oracle disagrees" % g)
     return _result(
         "maximal-mwl",
@@ -270,7 +270,7 @@ def check_oracle_equivalence(seed, instances=50) -> CriterionResult:
         bound = rng.randint(1, 8)
         direct = short_vectors(gram, bound)
         box = oracles.brute_force_short_vectors(gram, bound, reduce=False)
-        if tuple(sorted(direct)) != tuple(sorted(box)):
+        if direct != box:
             failures.append("enumeration trial %d mismatch" % trial)
             break
     return _result(

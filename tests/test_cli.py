@@ -124,6 +124,12 @@ def test_exit2_bad_builtin_genus(capsys):
     assert "bad genus" in err
 
 
+def test_exit2_negative_builtin_genus(capsys):
+    code, _, err = run(capsys, "mw", "--all-irreducible", "--g", "-1")
+    assert code == 2
+    assert "genus must be at least 1" in err
+
+
 def test_fiber_text(capsys):
     code, out, _ = run(capsys, "fiber", "--trivial-scenario", "--g", "1")
     assert code == 0

@@ -38,6 +38,12 @@ def test_maximal_model_degree_bound():
         SurfaceModel(d=1, n=8, g=0)
 
 
+def test_negative_genus_reports_genus():
+    # maximal(-1) has d = -1 as well; the genus is the real fault
+    with pytest.raises(InvalidModelError, match="genus must be at least 1"):
+        SurfaceModel.maximal(-1)
+
+
 def test_basis_intersections(model):
     dl, gm = delta(model), gamma(model)
     assert intersect(dl, dl) == -model.d
