@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 from typing import Sequence
 
 import numpy as _np
 
 from . import matrices as mx
 from .errors import FormError
-from .lattice import _floor_sqrt_plus, as_integer_gram
+from .lattice import as_integer_gram
 
 _CHUNK = 1 << 20
 _INT64_NORM_LIMIT = 1 << 50
@@ -133,7 +133,11 @@ def box_short_vectors(gram: Sequence[Sequence], bound) -> tuple[tuple[int, ...],
     for i in range(n):
         if inv[i][i] <= 0 or gram[i][i] <= 0:
             raise FormError("form is not positive definite")
-    radii = [_floor_sqrt_plus(bound * inv[i][i], Fraction(0)) for i in range(n)]
+    # floor(sqrt(q)) = isqrt(floor(q)) for rational q >= 0.
+    radii = []
+    for i in range(n):
+        q = bound * inv[i][i]
+        radii.append(isqrt(q.numerator // q.denominator))
     threshold = bound * scale
     tn, td = threshold.numerator, threshold.denominator
 

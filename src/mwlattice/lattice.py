@@ -3,8 +3,19 @@
 An :class:`IntegerLattice` is a free subgroup of Z^N given by basis rows,
 together with the Gram matrix of the ambient form.  Everything is exact:
 determinants are integers or rationals, short vectors come from a
-Fincke-Pohst search driven by an exact rational LDL decomposition, and
-quotient groups are read off Smith normal forms.
+Fincke-Pohst search run on Python integers, and quotient groups are read
+off Smith normal forms.
+
+The search scales a rational Gram matrix to integers once and factors it
+fraction-free (Bareiss): the leading principal minors D_0 = 1, D_1, ..., D_n
+and integer numerators N_ij give the LDL data d_i = D_{i+1} / D_i and
+r_ij = N_ij / D_{i+1}, so that with L = lcm_i(D_i D_{i+1})
+
+    L * x G x^T = sum_i c_i (x_i D_{i+1} + sum_{j>i} N_ij x_j)^2,
+    c_i = L / (D_i D_{i+1}),
+
+a sum of integer squares with integer weights.  The recursion then needs
+only integer square roots.
 """
 
 from __future__ import annotations
@@ -15,6 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import matrices as mx
+from .matrices import as_integer_matrix as as_integer_gram
 from .errors import FormError
 
 
@@ -153,51 +165,53 @@ def dual_gram(gram: Sequence[Sequence]):
     return inv, abs(mx.det(gram))
 
 
+def _bareiss_ldl(igram: mx.IntMatrix) -> tuple[tuple[int, ...], list[list[int]]]:
+    """Fraction-free LDL data of a positive definite integer Gram matrix.
+
+    Returns (D, N): the leading principal minors D[0] = 1, ..., D[n] and the
+    rows N[i][j] (j >= i) of the Bareiss elimination, with N[i][i] = D[i+1].
+    Raises FormError when the form is not symmetric positive definite.
+    """
+    n = len(igram)
+    for i in range(n):
+        for j in range(i):
+            if igram[i][j] != igram[j][i]:
+                raise FormError("Gram matrix must be symmetric")
+    a = [list(row) for row in igram]
+    minors = [1]
+    for k in range(n):
+        p = a[k][k]
+        if p <= 0:
+            raise FormError("form is not positive definite")
+        prev = minors[-1]
+        row_k = a[k]
+        for i in range(k + 1, n):
+            f = row_k[i]
+            row_i = a[i]
+            for j in range(i, n):
+                row_i[j] = (p * row_i[j] - f * row_k[j]) // prev
+        minors.append(p)
+    return tuple(minors), a
+
+
 def ldl(gram: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], mx.Matrix]:
     """Exact LDL data of a positive definite Gram matrix.
 
     Returns (d, r) with Q(x) = sum_i d_i (x_i + sum_{j>i} r_ij x_j)^2.
-    Raises FormError when the form is not positive definite.
+    This is the rational view of the fraction-free factorisation the
+    short-vector search runs on.  Raises FormError when the form is not
+    positive definite.
     """
-    n = len(gram)
-    for i in range(n):
-        for j in range(i):
-            if Fraction(gram[i][j]) != Fraction(gram[j][i]):
-                raise FormError("Gram matrix must be symmetric")
-    q = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        if q[i][i] <= 0:
-            raise FormError("form is not positive definite")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] -= q[k][i] * q[i][l]
-    d = tuple(q[i][i] for i in range(n))
+    igram, scale = as_integer_gram(gram)
+    minors, num = _bareiss_ldl(igram)
+    n = len(igram)
+    d = tuple(Fraction(minors[i + 1], minors[i] * scale) for i in range(n))
     r = tuple(
-        tuple(q[i][j] if j > i else Fraction(0) for j in range(n)) for i in range(n)
+        tuple(Fraction(num[i][j], minors[i + 1]) if j > i else Fraction(0)
+              for j in range(n))
+        for i in range(n)
     )
     return d, r
-
-
-def _floor_sqrt_plus(c2: Fraction, shift: Fraction) -> int:
-    """floor(sqrt(c2) + shift) for rational c2 >= 0, exact."""
-    # Float gives a hint; exact comparisons settle the boundary.
-    try:
-        guess = int(math.floor(math.sqrt(float(c2)) + float(shift)))
-    except (OverflowError, ValueError):
-        guess = int(shift) + int(math.isqrt(int(c2))) + 1
-
-    def ok(m: int) -> bool:
-        t = m - shift
-        return t <= 0 or t * t <= c2
-
-    while not ok(guess):
-        guess -= 1
-    while ok(guess + 1):
-        guess += 1
-    return guess
 
 
 def short_vectors_with_norms(obj, bound) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
@@ -205,8 +219,9 @@ def short_vectors_with_norms(obj, bound) -> tuple[tuple[tuple[int, ...], Fractio
 
     ``obj`` may be an IntegerLattice or a positive definite Gram matrix
     (integer or rational entries).  Pairs are sorted lexicographically by
-    vector and closed under negation.  The Fincke-Pohst leaf already holds
-    ``bound - v G v^T`` exactly, so each norm comes free with its vector.
+    vector and closed under negation.  The Fincke-Pohst recursion runs on
+    integers only (see the module docstring); the leaf's remaining budget
+    gives ``v G v^T`` exactly, so each norm comes free with its vector.
     Raises FormError when the form is not positive definite.
     """
     gram = obj.gram() if isinstance(obj, IntegerLattice) else mx.mat(obj)
@@ -214,29 +229,36 @@ def short_vectors_with_norms(obj, bound) -> tuple[tuple[tuple[int, ...], Fractio
     n = len(gram)
     if n == 0 or bound < 0:
         return ()
-    d, r = ldl(gram)
+    igram, scale = as_integer_gram(gram)
+    minors, num = _bareiss_ldl(igram)
+    weight = math.lcm(*(minors[i] * minors[i + 1] for i in range(n)))
+    c = [weight // (minors[i] * minors[i + 1]) for i in range(n)]
+    # x G x^T <= bound  <=>  weight * x igram x^T <= top, both sides integers.
+    unit = weight * scale
+    top = bound.numerator * unit // bound.denominator
     results: list[tuple[tuple[int, ...], Fraction]] = []
     x = [0] * n
 
-    def descend(i: int, remaining: Fraction):
+    def descend(i: int, remaining: int):
         if i < 0:
             if any(x):
-                results.append((tuple(x), bound - remaining))
+                results.append((tuple(x), Fraction(top - remaining, unit)))
             return
-        s = Fraction(0)
+        row = num[i]
+        s = 0
         for j in range(i + 1, n):
             if x[j]:
-                s += r[i][j] * x[j]
-        c2 = remaining / d[i]
-        hi = _floor_sqrt_plus(c2, -s)
-        lo = -_floor_sqrt_plus(c2, s)
-        for xi in range(lo, hi + 1):
+                s += row[j] * x[j]
+        ci, piv = c[i], minors[i + 1]
+        # |x_i D_{i+1} + s| <= m  with  m = floor(sqrt(remaining / c_i)).
+        m = math.isqrt(remaining // ci)
+        for xi in range(-((m + s) // piv), (m - s) // piv + 1):
             x[i] = xi
-            t = xi + s
-            descend(i - 1, remaining - d[i] * t * t)
+            t = xi * piv + s
+            descend(i - 1, remaining - ci * t * t)
         x[i] = 0
 
-    descend(n - 1, bound)
+    descend(n - 1, top)
     return tuple(sorted(results))
 
 
@@ -298,15 +320,3 @@ def size_reduce(gram):
     g2 = tuple(tuple(g[p][qq] for qq in perm) for p in perm)
     t2 = tuple(tuple(t[p][k] for k in range(n)) for p in perm)
     return g2, t2
-
-
-def as_integer_gram(gram):
-    """Scale a rational Gram matrix to integers: returns (int_gram, scale)."""
-    denom = 1
-    for row in gram:
-        for x in row:
-            denom = denom * Fraction(x).denominator // math.gcd(denom, Fraction(x).denominator)
-    scaled = tuple(
-        tuple(int(Fraction(x) * denom) for x in row) for row in gram
-    )
-    return scaled, denom

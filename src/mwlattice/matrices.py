@@ -2,19 +2,25 @@
 
 Matrices are tuples of tuples (rows).  Entries are Python ints or
 ``fractions.Fraction``; nothing here ever rounds.  The sizes that occur in
-practice are tiny (Picard number at most 18), so the implementations favour
+practice are small (rank at most a few dozen), so the implementations favour
 clarity and verifiability over asymptotics.
 
-The Smith normal form follows the classical row/column reduction with an
-explicitly tracked pair of unimodular transforms, including the divisibility
-fix-up, so ``U @ M @ V == S`` holds exactly and the diagonal entries divide
-successively.
+Determinants and inverses scale the matrix to integers once and run a
+fraction-free (Bareiss) Gauss-Jordan elimination, in which every
+intermediate entry is a minor of the scaled matrix, so all divisions are
+exact integer divisions and no ``Fraction`` is built until the result.
+
+The Smith normal form follows the classical row/column reduction, including
+the divisibility fix-up, so the diagonal entries divide successively.
+``smith_normal_form`` tracks the pair of unimodular transforms with
+``U @ M @ V == S``; ``invariant_factors`` runs the same reduction without
+them, since it reads only the diagonal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -67,30 +73,60 @@ def scale(m: Sequence[Sequence], c) -> tuple:
     return tuple(tuple(c * x for x in row) for row in m)
 
 
+def as_integer_matrix(m: Sequence[Sequence]) -> tuple[IntMatrix, int]:
+    """Scale a rational matrix to integers: returns (int_matrix, den).
+
+    ``den`` is the lcm of the entries' denominators, so ``int_matrix`` is
+    ``den * m`` exactly.
+    """
+    rows = [[Fraction(x) for x in row] for row in m]
+    den = lcm(1, *(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                 for row in rows), den
+
+
+def _bareiss(a: list[list[int]], n: int) -> int:
+    """Fraction-free Gauss-Jordan on the leading n columns of ``a``, in place.
+
+    ``a`` holds n integer rows (B | T) with B square.  Returns det(B), or
+    0 when B is singular (``a`` is then left partly reduced).  On success
+    ``a`` reads (p * I | p * B^-1 T), where p = +-det(B) is the last pivot.
+    After step k every entry is a (k+1)-minor of the row-swapped input,
+    which is why the division by the previous pivot is exact.
+    """
+    sign = 1
+    prev = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            sign = -sign
+        pivot_row = a[col]
+        p = pivot_row[col]
+        for r in range(n):
+            if r == col:
+                continue
+            row = a[r]
+            f = row[col]
+            if f:
+                a[r] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+            elif p != prev:
+                a[r] = [p * x // prev for x in row]
+        prev = p
+    return sign * prev
+
+
 def det(m: Sequence[Sequence]):
-    """Determinant by fraction-free-ish Gaussian elimination, exact."""
+    """Determinant by fraction-free (Bareiss) elimination, exact."""
     n = len(m)
     if n == 0:
         return 1
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
-    a = [[Fraction(x) for x in row] for row in m]
-    sign = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] / a[col][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    result = Fraction(sign)
-    for i in range(n):
-        result *= a[i][i]
-    return result
+    a, den = as_integer_matrix(m)
+    return Fraction(_bareiss([list(row) for row in a], n), den ** n)
 
 
 def rank(m: Sequence[Sequence]) -> int:
@@ -118,20 +154,14 @@ def inverse(m: Sequence[Sequence]) -> Matrix:
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("inverse of a non-square matrix")
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv_piv = 1 / a[col][col]
-        a[col] = [x * inv_piv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+    a, den = as_integer_matrix(m)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    if _bareiss(aug, n) == 0:
+        raise ValueError("matrix is singular")
+    # aug = (p * I | p * (den * m)^-1) with p = aug[i][i], and
+    # (den * m)^-1 = m^-1 / den, so each entry of m^-1 is den * x / p.
+    return tuple(tuple(Fraction(x * den, aug[i][i]) for x in row[n:])
+                 for i, row in enumerate(aug))
 
 
 def int_matrix(m: Sequence[Sequence]) -> IntMatrix:
@@ -227,17 +257,20 @@ def _negate_row(a, u, i):
     u[i] = [-x for x in u[i]]
 
 
-def smith_normal_form(m: Sequence[Sequence[int]]):
-    """Return (U, S, V) with U @ M @ V == S in Smith normal form.
+def _smith_reduce(m: Sequence[Sequence[int]], track: bool):
+    """Reduce ``m`` to Smith normal form; returns (u, s, v) as lists of rows.
 
-    U and V are unimodular integer matrices.  S is diagonal with
-    nonnegative entries and S[i][i] divides S[i+1][i+1].
+    With ``track`` False, u holds one empty row per row of ``m`` and v no
+    rows, so the row and column operations below update nothing but s.
     """
     a = [[int(x) for x in row] for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    u = [list(row) for row in identity(rows)]
-    v = [list(row) for row in identity(cols)]
+    if track:
+        u = [list(row) for row in identity(rows)]
+        v = [list(row) for row in identity(cols)]
+    else:
+        u, v = [[] for _ in range(rows)], []
 
     t = 0
     while t < min(rows, cols):
@@ -293,8 +326,17 @@ def smith_normal_form(m: Sequence[Sequence[int]]):
             _add_row(a, u, t, offender, 1)
         t += 1
 
-    s = tuple(tuple(row) for row in a)
-    return (tuple(tuple(row) for row in u), s, tuple(tuple(row) for row in v))
+    return u, a, v
+
+
+def smith_normal_form(m: Sequence[Sequence[int]]):
+    """Return (U, S, V) with U @ M @ V == S in Smith normal form.
+
+    U and V are unimodular integer matrices.  S is diagonal with
+    nonnegative entries and S[i][i] divides S[i+1][i+1].
+    """
+    u, s, v = _smith_reduce(m, track=True)
+    return mat(u), mat(s), mat(v)
 
 
 def diagonal_of(s: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -305,7 +347,7 @@ def invariant_factors(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Nonzero diagonal entries of the Smith normal form of ``m``."""
     if not m or not m[0]:
         return ()
-    _, s, _ = smith_normal_form(m)
+    _, s, _ = _smith_reduce(m, track=False)
     return tuple(x for x in diagonal_of(s) if x != 0)
 
 

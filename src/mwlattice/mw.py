@@ -182,7 +182,10 @@ def identify_dn_plus(gram, found=None) -> LatticeIdentification:
     count = len(roots)
     if count == 0:
         return miss("lattice has no norm-2 vectors")
-    factors = mx.invariant_factors(roots)
+    # ``found`` is sorted and closed under negation, and negation reverses
+    # the order, so the upper half holds one root of each +- pair: the
+    # same span at half the rows.
+    factors = mx.invariant_factors(roots[count // 2:])
     full_rank = len(factors) == n
     if not full_rank:
         return miss("norm-2 vectors span rank %d < %d" % (len(factors), n))

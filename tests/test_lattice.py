@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwlattice import matrices as mx
+from mwlattice.boxenum import box_short_vectors
 from mwlattice.errors import FormError
 from mwlattice.lattice import (
     AbelianGroupInvariants,
@@ -22,6 +25,7 @@ from mwlattice.lattice import (
     size_reduce,
     vector_norms,
 )
+from mwlattice.oracles import determinant_by_expansion
 
 A2 = ((2, -1), (-1, 2))
 D4 = (
@@ -194,3 +198,64 @@ def test_as_integer_gram():
     scaled, s = as_integer_gram(((Fraction(1, 2), 0), (0, Fraction(1, 3))))
     assert s == 6
     assert scaled == ((3, 0), (0, 2))
+
+
+@st.composite
+def _rational_gram(draw):
+    """B B^T / s for a random nonsingular integer B, or the dual of that."""
+    n = draw(st.integers(1, 4))
+    b = draw(
+        st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                 min_size=n, max_size=n)
+        .map(lambda rows: tuple(map(tuple, rows)))
+        .filter(lambda m: mx.det(m) != 0)
+    )
+    s = draw(st.integers(1, 4))
+    gram = tuple(tuple(Fraction(x, s) for x in row)
+                 for row in mx.matmul(b, mx.transpose(b)))
+    if draw(st.booleans()):
+        gram, _ = dual_gram(gram)
+    return gram
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_rational_gram(), st.fractions(0, 3, max_denominator=4))
+def test_short_vectors_match_box_oracle(gram, bound):
+    found = short_vectors_with_norms(gram, bound)
+    vectors = tuple(v for v, _ in found)
+    assert vectors == box_short_vectors(gram, bound)
+    assert tuple(nv for _, nv in found) == vector_norms(gram, vectors)
+    assert all(0 < nv <= bound for _, nv in found)
+
+
+def _leading_minors(m):
+    return [determinant_by_expansion([row[:k] for row in m[:k]])
+            for k in range(1, len(m) + 1)]
+
+
+SEARCHES = (ldl, lambda gram: short_vectors_with_norms(gram, 2))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)),
+    st.integers(-2, 6))
+def test_search_rejects_exactly_the_non_definite_forms(rows, shift):
+    # the upper triangle of ``rows`` plus ``shift`` on the diagonal: definite,
+    # indefinite and degenerate forms all occur
+    n = len(rows)
+    sym = tuple(tuple(rows[min(i, j)][max(i, j)] + shift * (i == j) for j in range(n))
+                for i in range(n))
+    minors = _leading_minors(sym)
+    if all(m > 0 for m in minors):  # Sylvester's criterion
+        d, _ = ldl(sym)
+        assert d == tuple(Fraction(b, a) for a, b in zip([1] + minors, minors))
+        short_vectors_with_norms(sym, 2)
+    else:
+        for search in SEARCHES:
+            with pytest.raises(FormError, match="^form is not positive definite$"):
+                search(sym)
+    if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+        for search in SEARCHES:
+            with pytest.raises(FormError, match="^Gram matrix must be symmetric$"):
+                search(tuple(map(tuple, rows)))

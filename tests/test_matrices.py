@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwlattice import matrices as mx
+from mwlattice.oracles import determinant_by_expansion, invariant_factors_by_minors
 
 
 def test_det_known_values():
@@ -146,3 +149,49 @@ def test_is_unimodular():
     assert not mx.is_unimodular(((2, 0), (0, 1)))
     assert not mx.is_unimodular(((1, 0),))
     assert not mx.is_unimodular(((Fraction(1, 2), 0), (0, 2)))
+
+
+def _matrices(rows, cols, entries):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(lambda m: tuple(map(tuple, m)))
+
+
+_ENTRIES = st.one_of(st.integers(-6, 6), st.fractions(-3, 3, max_denominator=5))
+_SQUARE = st.integers(1, 5).flatmap(lambda n: _matrices(n, n, _ENTRIES))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_SQUARE)
+def test_det_and_inverse_match_cofactor_expansion(m):
+    n = len(m)
+    d = mx.det(m)
+    assert isinstance(d, Fraction)
+    assert d == determinant_by_expansion(m)
+    if d == 0:
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            mx.inverse(m)
+    else:
+        inv = mx.inverse(m)
+        assert all(isinstance(x, Fraction) for row in inv for x in row)
+        assert mx.matmul(inv, m) == mx.identity(n)
+        assert mx.matmul(m, inv) == mx.identity(n)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(
+    lambda shape: _matrices(*shape, st.integers(-9, 9))),
+    st.lists(st.sampled_from((1, 2, 3, 4, 6)), min_size=4, max_size=4))
+def test_smith_form_properties(m, row_scales):
+    # scaled rows make pivots that do not divide the rest of the matrix
+    m = tuple(tuple(c * x for x in row) for c, row in zip(row_scales, m))
+    u, s, v = mx.smith_normal_form(m)
+    assert mx.is_unimodular(u) and mx.is_unimodular(v)
+    assert mx.matmul(mx.matmul(u, m), v) == s
+    assert all(s[i][j] == 0 for i in range(len(s)) for j in range(len(s[0])) if i != j)
+    diag = mx.diagonal_of(s)
+    assert all(x >= 0 for x in diag)
+    for a, b in zip(diag, diag[1:]):
+        assert (b % a == 0) if a else b == 0
+    factors = mx.invariant_factors(m)
+    assert factors == tuple(x for x in diag if x)
+    assert factors == invariant_factors_by_minors(m)

@@ -100,6 +100,18 @@ def test_mwl_reports_frozen(name, rank, disc, roots, label):
         assert mx.det(gram) == disc
 
 
+@pytest.mark.parametrize(
+    "g,roots,label", [(4, 760, "D_20^+"), (5, 1104, "D_24^+")]
+)
+def test_mwl_maximal_reports_beyond_catalog(g, roots, label):
+    report = mwl(scenario_all_irreducible(g))
+    assert str(report.group) == "Z^%d" % (4 * g + 4)
+    assert report.rank == 4 * g + 4
+    assert report.discriminant == 1
+    assert report.root_count == roots
+    assert report.identified_as == label
+
+
 def test_mwl_degenerate_complement_raises():
     # with Delta as zero section, T = <Delta, F> and F.F = F.Delta = 0, so
     # F lies in the complement of T and its Gram matrix is singular
