@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalConsistencyError, ShapeError
+from .errors import ConfigurationError, InternalConsistencyError, ShapeError
 from .poly import SparsePoly, T, Y
 
 KIND_A = "A"
@@ -368,8 +368,11 @@ def classify_ade_germ(
 
     The germ must vanish to order at least 2 at the origin.  Returns a
     GermClassification whose kind is A, D, E, NotSimple, or Unresolved
-    when the reduction exceeds ``max_steps`` coordinate changes.
+    when the reduction exceeds ``max_steps`` coordinate changes.  A
+    negative ``max_steps`` raises ConfigurationError.
     """
+    if max_steps is not None and max_steps < 0:
+        raise ConfigurationError("max_steps must be nonnegative, got %d" % max_steps)
     if f.uses("x") or f.uses("z"):
         raise ShapeError("germ must involve only the two local variables")
     if f.is_zero():

@@ -64,8 +64,11 @@ def _load_json(path: str):
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputFormatError("cannot write %s: %s" % (out_path, exc)) from None
     else:
         print(text, end="" if text.endswith("\n") else "\n")
 

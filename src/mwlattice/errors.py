@@ -33,7 +33,7 @@ class NotAFiberError(MWLatticeError):
 
 
 class ConfigurationError(MWLatticeError):
-    """A scenario does not satisfy the precondition of a transformation."""
+    """A scenario or a setting does not satisfy a computation's precondition."""
 
 
 class CoefficientError(MWLatticeError):

@@ -148,14 +148,6 @@ def orthogonal_complement(sub: IntegerLattice) -> IntegerLattice:
     return IntegerLattice(kernel, sub.form)
 
 
-def saturate(sub: IntegerLattice) -> tuple[IntegerLattice, AbelianGroupInvariants]:
-    """Saturation of a sublattice and the finite quotient saturation/sublattice."""
-    basis = mx.saturation_basis(sub.basis)
-    factors = mx.invariant_factors(sub.basis)
-    torsion = tuple(f for f in factors if f > 1)
-    return IntegerLattice(basis, sub.form), AbelianGroupInvariants(0, torsion)
-
-
 def dual_gram(gram: Sequence[Sequence]):
     """Gram matrix of the dual basis and |det| of the original Gram."""
     try:

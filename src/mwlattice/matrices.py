@@ -5,27 +5,28 @@ Matrices are tuples of tuples (rows).  Entries are Python ints or
 practice are small (rank at most a few dozen), so the implementations favour
 clarity and verifiability over asymptotics.
 
-Determinants and inverses scale the matrix to integers once and run a
+There is one Gaussian elimination: ``det``, ``inverse``, ``rank`` and
+``solve_left`` scale their matrix to integers once and run the same
 fraction-free (Bareiss) Gauss-Jordan elimination, in which every
 intermediate entry is a minor of the scaled matrix, so all divisions are
 exact integer divisions and no ``Fraction`` is built until the result.
 
-The Smith normal form follows the classical row/column reduction, including
-the divisibility fix-up, so the diagonal entries divide successively.
-``smith_normal_form`` tracks the pair of unimodular transforms with
-``U @ M @ V == S``; ``invariant_factors`` runs the same reduction without
-them, since it reads only the diagonal.
+There is one Smith reduction: the classical row/column reduction, including
+the divisibility fix-up, so the diagonal entries divide successively.  It
+carries only the row transform U (``U @ M @ V == S``; V is never built):
+the rows of U past the rank span the left kernel, and the leading rows of
+``U @ M`` are a basis of the row lattice.  ``invariant_factors`` runs it
+without U, since it reads only the diagonal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 IntMatrix = tuple[tuple[int, ...], ...]
-Vector = tuple[Fraction, ...]
 
 
 def mat(rows: Iterable[Iterable]) -> tuple:
@@ -58,21 +59,6 @@ def mat_vec(m: Sequence[Sequence], v: Sequence) -> tuple:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 
 
-def vec_mat(v: Sequence, m: Sequence[Sequence]) -> tuple:
-    if m and len(v) != len(m):
-        raise ValueError("incompatible shapes")
-    return tuple(sum(v[i] * m[i][j] for i in range(len(v)))
-                 for j in range(len(m[0]) if m else 0))
-
-
-def dot(u: Sequence, v: Sequence) -> Fraction:
-    return sum(x * y for x, y in zip(u, v))
-
-
-def scale(m: Sequence[Sequence], c) -> tuple:
-    return tuple(tuple(c * x for x in row) for row in m)
-
-
 def as_integer_matrix(m: Sequence[Sequence]) -> tuple[IntMatrix, int]:
     """Scale a rational matrix to integers: returns (int_matrix, den).
 
@@ -85,37 +71,47 @@ def as_integer_matrix(m: Sequence[Sequence]) -> tuple[IntMatrix, int]:
                  for row in rows), den
 
 
-def _bareiss(a: list[list[int]], n: int) -> int:
-    """Fraction-free Gauss-Jordan on the leading n columns of ``a``, in place.
+def _bareiss(a: list, ncols: int) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan on the leading ``ncols`` columns of ``a``.
 
-    ``a`` holds n integer rows (B | T) with B square.  Returns det(B), or
-    0 when B is singular (``a`` is then left partly reduced).  On success
-    ``a`` reads (p * I | p * B^-1 T), where p = +-det(B) is the last pivot.
-    After step k every entry is a (k+1)-minor of the row-swapped input,
-    which is why the division by the previous pivot is exact.
+    ``a`` is a list of integer rows, reduced in place (rows are replaced,
+    never mutated).  A column with no nonzero entry at or below the current
+    pivot row is skipped.  Returns (pivot_cols, d): the columns that took a
+    pivot and d = +-p, where p is the last pivot and the sign counts the row
+    swaps (d = det(a) when ``a`` is square and nonsingular).  Pivot row i of
+    the result is p times row i of the reduced row echelon form; the rows
+    below the pivot rows are zero in the leading columns.  Every entry stays
+    a minor of the row-swapped input, skipped columns included, which is why
+    the division by the previous pivot is exact.
     """
     sign = 1
     prev = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+    pivots: list[int] = []
+    rows = len(a)
+    for col in range(ncols):
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if a[i][col] != 0), None)
         if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
             sign = -sign
-        pivot_row = a[col]
+        pivot_row = a[r]
         p = pivot_row[col]
-        for r in range(n):
-            if r == col:
+        for i in range(rows):
+            if i == r:
                 continue
-            row = a[r]
+            row = a[i]
             f = row[col]
             if f:
-                a[r] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
             elif p != prev:
-                a[r] = [p * x // prev for x in row]
+                a[i] = [p * x // prev for x in row]
         prev = p
-    return sign * prev
+        pivots.append(col)
+    return pivots, sign * prev
 
 
 def det(m: Sequence[Sequence]):
@@ -126,27 +122,14 @@ def det(m: Sequence[Sequence]):
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
     a, den = as_integer_matrix(m)
-    return Fraction(_bareiss([list(row) for row in a], n), den ** n)
+    pivots, d = _bareiss(list(a), n)
+    return Fraction(d if len(pivots) == n else 0, den ** n)
 
 
 def rank(m: Sequence[Sequence]) -> int:
-    a = [[Fraction(x) for x in row] for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    r = 0
-    for col in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(rows):
-            if i != r and a[i][col] != 0:
-                f = a[i][col] / a[r][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+    """Rank over the rationals."""
+    a, _ = as_integer_matrix(m)
+    return len(_bareiss(list(a), len(a[0]) if a else 0)[0])
 
 
 def inverse(m: Sequence[Sequence]) -> Matrix:
@@ -156,7 +139,7 @@ def inverse(m: Sequence[Sequence]) -> Matrix:
         raise ValueError("inverse of a non-square matrix")
     a, den = as_integer_matrix(m)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    if _bareiss(aug, n) == 0:
+    if len(_bareiss(aug, n)[0]) < n:
         raise ValueError("matrix is singular")
     # aug = (p * I | p * (den * m)^-1) with p = aug[i][i], and
     # (den * m)^-1 = m^-1 / den, so each entry of m^-1 is den * x / p.
@@ -178,49 +161,21 @@ def int_matrix(m: Sequence[Sequence]) -> IntMatrix:
     return tuple(out)
 
 
-def is_unimodular(m: Sequence[Sequence]) -> bool:
-    n = len(m)
-    if any(len(row) != n for row in m):
-        return False
-    try:
-        im = int_matrix(m)
-    except ValueError:
-        return False
-    return abs(det(im)) == 1
-
-
-def solve_right(a: Sequence[Sequence], b: Sequence):
-    """One rational solution x of a @ x = b, or None if inconsistent."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    pivots = []
-    r = 0
-    for col in range(cols):
-        piv = next((i for i in range(r, rows) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv_piv = 1 / aug[r][col]
-        aug[r] = [x * inv_piv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, rows):
-        if aug[i][cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][cols]
-    return tuple(x)
-
-
 def solve_left(a: Sequence[Sequence], b: Sequence):
-    """One rational solution x of x @ a = b, or None if inconsistent."""
-    return solve_right(transpose(a), b)
+    """One rational solution x of x @ a = b, or None if inconsistent.
+
+    Reduces (a^T | b); the unknowns of columns without a pivot are 0.
+    """
+    n = len(a)
+    aug, _ = as_integer_matrix([*col, y] for col, y in zip(transpose(a), b))
+    aug = list(aug)
+    pivots, _ = _bareiss(aug, n)
+    if any(row[n] for row in aug[len(pivots):]):
+        return None
+    x = [Fraction(0)] * n
+    for row, col in zip(aug, pivots):
+        x[col] = Fraction(row[n], row[col])
+    return tuple(x)
 
 
 # ---------------------------------------------------------------------------
@@ -232,45 +187,27 @@ def _swap_rows(a, u, i, j):
     u[i], u[j] = u[j], u[i]
 
 
-def _swap_cols(a, v, i, j):
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-    for row in v:
-        row[i], row[j] = row[j], row[i]
-
-
 def _add_row(a, u, dst, src, factor):
     # row[dst] += factor * row[src]
     a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
     u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
 
 
-def _add_col(a, v, dst, src, factor):
-    for row in a:
-        row[dst] += factor * row[src]
-    for row in v:
-        row[dst] += factor * row[src]
-
-
-def _negate_row(a, u, i):
-    a[i] = [-x for x in a[i]]
-    u[i] = [-x for x in u[i]]
-
-
 def _smith_reduce(m: Sequence[Sequence[int]], track: bool):
-    """Reduce ``m`` to Smith normal form; returns (u, s, v) as lists of rows.
+    """Reduce ``m`` to Smith normal form; returns (u, factors).
 
-    With ``track`` False, u holds one empty row per row of ``m`` and v no
-    rows, so the row and column operations below update nothing but s.
+    ``factors`` are the nonzero diagonal entries of S, each dividing the
+    next.  With ``track`` u is the unimodular row transform, U @ M @ V == S
+    for some unimodular V that is not built; without it u holds one empty
+    row per row of ``m``, so the row operations below update nothing but S.
     """
     a = [[int(x) for x in row] for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if track:
         u = [list(row) for row in identity(rows)]
-        v = [list(row) for row in identity(cols)]
     else:
-        u, v = [[] for _ in range(rows)], []
+        u = [[] for _ in range(rows)]
 
     t = 0
     while t < min(rows, cols):
@@ -290,9 +227,11 @@ def _smith_reduce(m: Sequence[Sequence[int]], track: bool):
             if bi != t:
                 _swap_rows(a, u, t, bi)
             if bj != t:
-                _swap_cols(a, v, t, bj)
+                for row in a:
+                    row[t], row[bj] = row[bj], row[t]
             if a[t][t] < 0:
-                _negate_row(a, u, t)
+                a[t] = [-x for x in a[t]]
+                u[t] = [-x for x in u[t]]
             piv = a[t][t]
             dirty = False
             for i in range(t + 1, rows):
@@ -306,7 +245,8 @@ def _smith_reduce(m: Sequence[Sequence[int]], track: bool):
                 if a[t][j] != 0:
                     q = a[t][j] // piv
                     if q:
-                        _add_col(a, v, j, t, -q)
+                        for row in a:
+                            row[j] -= q * row[t]
                     if a[t][j] != 0:
                         dirty = True
             if dirty:
@@ -326,66 +266,31 @@ def _smith_reduce(m: Sequence[Sequence[int]], track: bool):
             _add_row(a, u, t, offender, 1)
         t += 1
 
-    return u, a, v
-
-
-def smith_normal_form(m: Sequence[Sequence[int]]):
-    """Return (U, S, V) with U @ M @ V == S in Smith normal form.
-
-    U and V are unimodular integer matrices.  S is diagonal with
-    nonnegative entries and S[i][i] divides S[i+1][i+1].
-    """
-    u, s, v = _smith_reduce(m, track=True)
-    return mat(u), mat(s), mat(v)
-
-
-def diagonal_of(s: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    return tuple(s[i][i] for i in range(min(len(s), len(s[0]) if s else 0)))
+    return u, tuple(a[i][i] for i in range(min(rows, cols)) if a[i][i] != 0)
 
 
 def invariant_factors(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Nonzero diagonal entries of the Smith normal form of ``m``."""
     if not m or not m[0]:
         return ()
-    _, s, _ = _smith_reduce(m, track=False)
-    return tuple(x for x in diagonal_of(s) if x != 0)
+    return _smith_reduce(m, track=False)[1]
 
 
 def left_kernel_basis(m: Sequence[Sequence[int]]) -> IntMatrix:
     """Basis of the saturated lattice {x : x @ M == 0}, as rows."""
     if not m:
         return ()
-    u, s, _ = smith_normal_form(m)
-    r = sum(1 for f in diagonal_of(s) if f != 0)
-    return tuple(u[r:])
+    u, factors = _smith_reduce(m, track=True)
+    return mat(u[len(factors):])
 
 
 def row_lattice_basis(m: Sequence[Sequence[int]]) -> IntMatrix:
-    """Basis (rows) of the lattice generated by the rows of ``m``."""
+    """Basis (rows) of the lattice generated by the rows of ``m``.
+
+    With U @ M @ V == S, the rows of U @ M are those of S @ V^-1: the first
+    rank(M) of them form a basis and the rest are zero.
+    """
     if not m or not m[0]:
         return ()
-    _, s, v = smith_normal_form(m)
-    v_inv = int_matrix(inverse(v))
-    factors = diagonal_of(s)
-    basis = []
-    for i, f in enumerate(factors):
-        if f != 0:
-            basis.append(tuple(f * x for x in v_inv[i]))
-    return tuple(basis)
-
-
-def saturation_basis(m: Sequence[Sequence[int]]) -> IntMatrix:
-    """Basis of the saturation (Q-span intersected with Z^cols) of the rows."""
-    if not m or not m[0]:
-        return ()
-    _, s, v = smith_normal_form(m)
-    v_inv = int_matrix(inverse(v))
-    r = sum(1 for f in diagonal_of(s) if f != 0)
-    return tuple(v_inv[:r])
-
-
-def gcd_all(xs: Iterable[int]) -> int:
-    g = 0
-    for x in xs:
-        g = gcd(g, abs(x))
-    return g
+    u, factors = _smith_reduce(m, track=True)
+    return matmul(u[:len(factors)], m)

@@ -5,15 +5,18 @@ U and V below are aliases for those generators.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwlattice.ade import (
     GermClassification,
     classify_ade_germ,
     default_step_budget,
 )
-from mwlattice.errors import ShapeError
+from mwlattice.errors import ConfigurationError, ShapeError
 from mwlattice.pencil import (
     PencilCoefficients,
     double_cover_branch_germ,
@@ -132,6 +135,12 @@ def test_budget_exhaustion():
     assert classify_ade_germ(U * U - V ** 5, max_steps=0).label == "A(4)"
 
 
+def test_negative_budget_is_rejected():
+    for germ in (U * U + U * V ** 3, SparsePoly.zero()):
+        with pytest.raises(ConfigurationError, match="^max_steps must be nonnegative, got -1$"):
+            classify_ade_germ(germ, max_steps=-1)
+
+
 def test_default_step_budget():
     assert default_step_budget(U * U + V ** 3) == 8
     assert default_step_budget(U * U + V ** 12) == 40
@@ -186,3 +195,31 @@ def test_double_cover_germ_random_pencils(g):
         germ = double_cover_branch_germ(pencil_to_double_cover(pc))
         out = classify_ade_germ(germ)
         assert (out.kind, out.index) == ("D", 4 * g + 4)
+
+
+NORMAL_FORMS = (
+    [("A(%d)" % k, lambda u, v, k=k: u * u + v ** (k + 1)) for k in range(1, 9)]
+    + [("D(%d)" % k, lambda u, v, k=k: u * u * v + v ** (k - 1)) for k in range(4, 10)]
+    + [("E(6)", lambda u, v: u ** 3 + v ** 4),
+       ("E(7)", lambda u, v: u ** 3 + u * v ** 3),
+       ("E(8)", lambda u, v: u ** 3 + v ** 5)]
+)
+
+_LINEAR = st.tuples(*[st.integers(-3, 3)] * 4).filter(lambda m: m[0] * m[3] != m[1] * m[2])
+_QUADRATIC = st.tuples(*[st.fractions(-2, 2, max_denominator=3)] * 6)
+_UNIT = st.tuples(st.sampled_from((1, -1, 2, -3, Fraction(1, 2))),
+                  st.integers(-2, 2), st.integers(-2, 2))
+
+
+@pytest.mark.parametrize("label,normal_form", NORMAL_FORMS,
+                         ids=[label for label, _ in NORMAL_FORMS])
+@settings(derandomize=True, max_examples=3, deadline=None)
+@given(linear=_LINEAR, quadratic=_QUADRATIC, unit=_UNIT)
+def test_label_is_invariant_under_coordinate_change(label, normal_form, linear, quadratic, unit):
+    """unit * f(P, Q) with (P, Q) an invertible polynomial map keeps the label."""
+    a, b, c, d = linear
+    q = quadratic
+    p_u = a * U + b * V + q[0] * U * U + q[1] * U * V + q[2] * V * V
+    p_v = c * U + d * V + q[3] * U * U + q[4] * U * V + q[5] * V * V
+    germ = (unit[0] + unit[1] * U + unit[2] * V) * normal_form(p_u, p_v)
+    assert classify_ade_germ(germ).label == label

@@ -204,6 +204,17 @@ def test_pencil_ade_budget(capsys, tmp_path):
     assert doc["detail"] == "no verdict within 0 coordinate changes"
 
 
+def test_pencil_ade_negative_budget(capsys, tmp_path):
+    path = tmp_path / "germ.json"
+    path.write_text(json.dumps(poly_to_json(T * T + T * Y ** 3)))
+    code, out, err = run(capsys, "pencil", "ade", "--germ", str(path),
+                         "--max-steps", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ")
+    assert "max_steps must be nonnegative, got -1" in err
+
+
 def test_pencil_ade_bad_germ(capsys, tmp_path):
     path = tmp_path / "germ.json"
     path.write_text(json.dumps([{"exp": [0, 2, 0, 0], "coef": 1}]))
@@ -240,6 +251,16 @@ def test_export_dot_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith('graph "trivial-mw-g1_fiber0" {')
+
+
+def test_export_unwritable_out(capsys, tmp_path):
+    target = tmp_path / "no" / "such" / "dir" / "graph.dot"
+    code, out, err = run(capsys, "export", "--trivial-scenario", "--g", "1",
+                         "--dot", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: cannot write %s: " % target)
+    assert "Traceback" not in err
 
 
 def test_export_fiber_out_of_range(capsys):

@@ -1,5 +1,6 @@
-"""Exact linear algebra: determinants, Smith forms, kernels, saturation."""
+"""Exact linear algebra: determinants, elimination, Smith forms, kernels."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -57,30 +58,6 @@ def test_rank():
     assert mx.rank(((1, 0), (0, 1), (1, 1))) == 2
 
 
-def test_smith_normal_form_reconstructs():
-    rng = random.Random(7)
-    for _ in range(30):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        m = tuple(
-            tuple(rng.randint(-9, 9) for _ in range(cols)) for _ in range(rows)
-        )
-        u, s, v = mx.smith_normal_form(m)
-        assert mx.is_unimodular(u)
-        assert mx.is_unimodular(v)
-        assert mx.matmul(mx.matmul(u, m), v) == tuple(tuple(r) for r in s)
-        diag = mx.diagonal_of(s)
-        for a, b in zip(diag, diag[1:]):
-            if a != 0:
-                assert b % a == 0
-            else:
-                assert b == 0
-        for i in range(len(s)):
-            for j in range(len(s[0])):
-                if i != j:
-                    assert s[i][j] == 0
-
-
 def test_invariant_factors_known():
     assert mx.invariant_factors(((2, 0), (0, 3))) == (1, 6)
     assert mx.invariant_factors(((2, 4), (6, 8))) == (2, 4)
@@ -89,66 +66,23 @@ def test_invariant_factors_known():
     assert mx.invariant_factors(((6,),)) == (6,)
 
 
-def test_solve_right_and_left():
+def test_solve_left():
     a = ((1, 2), (3, 4))
-    x = mx.solve_right(a, (5, 11))
-    assert x is not None
-    assert mx.mat_vec(a, x) == (5, 11)
-    assert mx.solve_right(((1, 1), (1, 1)), (0, 1)) is None
     y = mx.solve_left(a, (4, 6))
     assert y is not None
-    assert mx.vec_mat(y, a) == (4, 6)
+    assert mx.matmul((y,), a) == ((4, 6),)
+    assert mx.solve_left(((1, 1), (1, 1)), (0, 1)) is None
+    # the unknown of a column without a pivot is 0
+    assert mx.solve_left(((1, 1), (2, 2)), (3, 3)) == (3, 0)
 
 
 def test_left_kernel_basis_annihilates():
     m = ((1, 2, 3), (2, 4, 6), (0, 1, 1))
     k = mx.left_kernel_basis(m)
     assert len(k) == 1
-    for row in k:
-        assert mx.vec_mat(row, m) == (0, 0, 0)
+    assert mx.matmul(k, m) == ((0, 0, 0),)
     # kernel of the 2x-duplicated row is spanned by a primitive vector
-    assert mx.gcd_all(k[0]) == 1
-
-
-def test_row_lattice_basis_spans_same_lattice():
-    rng = random.Random(19)
-    for _ in range(20):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        m = tuple(
-            tuple(rng.randint(-6, 6) for _ in range(cols)) for _ in range(rows)
-        )
-        basis = mx.row_lattice_basis(m)
-        assert len(basis) == mx.rank(m) if any(any(r) for r in m) else not basis
-        # every original row is an integer combination of the basis
-        for row in m:
-            if not any(row):
-                continue
-            sol = mx.solve_left(basis, row) if basis else None
-            assert sol is not None
-            assert all(Fraction(x).denominator == 1 for x in sol)
-        # and conversely
-        for row in basis:
-            sol = mx.solve_left(m, row)
-            assert sol is not None
-
-
-def test_saturation_basis_index():
-    m = ((2, 0), (0, 3))
-    sat = mx.saturation_basis(m)
-    assert len(sat) == 2
-    assert abs(mx.det(sat)) == 1
-    # saturation of a primitive single row is itself up to sign
-    sat1 = mx.saturation_basis(((2, 3),))
-    assert len(sat1) == 1
-    assert mx.gcd_all(sat1[0]) == 1
-
-
-def test_is_unimodular():
-    assert mx.is_unimodular(((1, 5), (0, 1)))
-    assert not mx.is_unimodular(((2, 0), (0, 1)))
-    assert not mx.is_unimodular(((1, 0),))
-    assert not mx.is_unimodular(((Fraction(1, 2), 0), (0, 2)))
+    assert math.gcd(*k[0]) == 1
 
 
 def _matrices(rows, cols, entries):
@@ -156,8 +90,22 @@ def _matrices(rows, cols, entries):
                     min_size=rows, max_size=rows).map(lambda m: tuple(map(tuple, m)))
 
 
+def _clear_denominators(m):
+    """Scale each row by the lcm of its denominators, which keeps the rank."""
+    return tuple(
+        tuple(int(x * math.lcm(*(Fraction(y).denominator for y in row))) for x in row)
+        for row in m)
+
+
 _ENTRIES = st.one_of(st.integers(-6, 6), st.fractions(-3, 3, max_denominator=5))
 _SQUARE = st.integers(1, 5).flatmap(lambda n: _matrices(n, n, _ENTRIES))
+_SHAPES = st.tuples(st.integers(1, 4), st.integers(1, 5))
+_RECTANGULAR = _SHAPES.flatmap(lambda shape: _matrices(*shape, _ENTRIES))
+# Scaled rows make pivots that do not divide the rest of the matrix.
+_INTEGER_RECTANGULAR = st.builds(
+    lambda m, scales: tuple(tuple(c * x for x in row) for c, row in zip(scales, m)),
+    _SHAPES.flatmap(lambda shape: _matrices(*shape, st.integers(-9, 9))),
+    st.lists(st.sampled_from((1, 2, 3, 4, 6)), min_size=4, max_size=4))
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -177,21 +125,57 @@ def test_det_and_inverse_match_cofactor_expansion(m):
         assert mx.matmul(m, inv) == mx.identity(n)
 
 
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_RECTANGULAR, st.data())
+def test_rank_and_solve_left_properties(m, data):
+    rank = mx.rank(m)
+    assert rank == len(invariant_factors_by_minors(_clear_denominators(m)))
+    # b is an integer combination of the rows half of the time
+    if data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(m), max_size=len(m)))
+        b = mx.matmul((coeffs,), m)[0]
+    else:
+        b = tuple(data.draw(st.lists(_ENTRIES, min_size=len(m[0]), max_size=len(m[0]))))
+    x = mx.solve_left(m, b)
+    if mx.rank(m + (b,)) > rank:
+        assert x is None
+    else:
+        assert len(x) == len(m)
+        assert mx.matmul((x,), m) == (b,)
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(
-    lambda shape: _matrices(*shape, st.integers(-9, 9))),
-    st.lists(st.sampled_from((1, 2, 3, 4, 6)), min_size=4, max_size=4))
-def test_smith_form_properties(m, row_scales):
-    # scaled rows make pivots that do not divide the rest of the matrix
-    m = tuple(tuple(c * x for x in row) for c, row in zip(row_scales, m))
-    u, s, v = mx.smith_normal_form(m)
-    assert mx.is_unimodular(u) and mx.is_unimodular(v)
-    assert mx.matmul(mx.matmul(u, m), v) == s
-    assert all(s[i][j] == 0 for i in range(len(s)) for j in range(len(s[0])) if i != j)
-    diag = mx.diagonal_of(s)
-    assert all(x >= 0 for x in diag)
-    for a, b in zip(diag, diag[1:]):
-        assert (b % a == 0) if a else b == 0
+@given(_INTEGER_RECTANGULAR)
+def test_smith_form_properties(m):
     factors = mx.invariant_factors(m)
-    assert factors == tuple(x for x in diag if x)
     assert factors == invariant_factors_by_minors(m)
+    assert all(x > 0 for x in factors)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_INTEGER_RECTANGULAR)
+def test_left_kernel_basis_properties(m):
+    k = mx.left_kernel_basis(m)
+    assert len(k) == len(m) - mx.rank(m)
+    if k:
+        assert all(not any(row) for row in mx.matmul(k, m))
+        # saturated: Z^rows / span(k) is torsion-free
+        assert set(mx.invariant_factors(k)) == {1}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_INTEGER_RECTANGULAR)
+def test_row_lattice_basis_spans_same_lattice(m):
+    basis = mx.row_lattice_basis(m)
+    assert len(basis) == mx.rank(m)
+    # Every row of m is an integer combination of the basis; the basis rows
+    # are independent, so the solution is unique and integrality decisive.
+    for row in m:
+        sol = mx.solve_left(basis, row)
+        assert sol is not None
+        assert all(x.denominator == 1 for x in sol)
+    # Conversely: L(m) ⊆ L(basis) have the same rank, so equal invariant
+    # factors (equal index in the saturation) make the two lattices equal.
+    assert all(mx.solve_left(m, row) is not None for row in basis)
+    assert invariant_factors_by_minors(basis) == invariant_factors_by_minors(m)
