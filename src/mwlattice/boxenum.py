@@ -31,7 +31,6 @@ import numpy as _np
 
 from . import matrices as mx
 from .errors import FormError
-from .lattice import as_integer_gram
 
 _CHUNK = 1 << 20
 _INT64_NORM_LIMIT = 1 << 50
@@ -124,7 +123,7 @@ def box_short_vectors(gram: Sequence[Sequence], bound) -> tuple[tuple[int, ...],
     bound = Fraction(bound)
     if n == 0 or bound < 0:
         return ()
-    int_gram, scale = as_integer_gram(gram)
+    int_gram, scale = mx.as_integer_matrix(gram)
     # Positive definiteness check and dual diagonal for the radii.
     try:
         inv = mx.inverse(gram)

@@ -26,7 +26,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import matrices as mx
-from .matrices import as_integer_matrix as as_integer_gram
 from .errors import FormError
 
 
@@ -151,10 +150,10 @@ def orthogonal_complement(sub: IntegerLattice) -> IntegerLattice:
 def dual_gram(gram: Sequence[Sequence]):
     """Gram matrix of the dual basis and |det| of the original Gram."""
     try:
-        inv = mx.inverse(gram)
+        inv, d = mx._inverse_and_det(gram)
     except ValueError as exc:
         raise FormError("degenerate Gram matrix") from exc
-    return inv, abs(mx.det(gram))
+    return inv, abs(d)
 
 
 def _bareiss_ldl(igram: mx.IntMatrix) -> tuple[tuple[int, ...], list[list[int]]]:
@@ -194,7 +193,7 @@ def ldl(gram: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], mx.Matrix]:
     short-vector search runs on.  Raises FormError when the form is not
     positive definite.
     """
-    igram, scale = as_integer_gram(gram)
+    igram, scale = mx.as_integer_matrix(gram)
     minors, num = _bareiss_ldl(igram)
     n = len(igram)
     d = tuple(Fraction(minors[i + 1], minors[i] * scale) for i in range(n))
@@ -221,7 +220,7 @@ def short_vectors_with_norms(obj, bound) -> tuple[tuple[tuple[int, ...], Fractio
     n = len(gram)
     if n == 0 or bound < 0:
         return ()
-    igram, scale = as_integer_gram(gram)
+    igram, scale = mx.as_integer_matrix(gram)
     minors, num = _bareiss_ldl(igram)
     weight = math.lcm(*(minors[i] * minors[i + 1] for i in range(n)))
     c = [weight // (minors[i] * minors[i + 1]) for i in range(n)]

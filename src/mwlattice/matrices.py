@@ -6,7 +6,8 @@ practice are small (rank at most a few dozen), so the implementations favour
 clarity and verifiability over asymptotics.
 
 There is one Gaussian elimination: ``det``, ``inverse``, ``rank`` and
-``solve_left`` scale their matrix to integers once and run the same
+``solve_left`` (and ``lattice.dual_gram``, which reads the inverse and the
+determinant off one run) scale their matrix to integers once and run the same
 fraction-free (Bareiss) Gauss-Jordan elimination, in which every
 intermediate entry is a minor of the scaled matrix, so all divisions are
 exact integer divisions and no ``Fraction`` is built until the result.
@@ -134,17 +135,25 @@ def rank(m: Sequence[Sequence]) -> int:
 
 def inverse(m: Sequence[Sequence]) -> Matrix:
     """Exact inverse; raises FormError-free ValueError on singular input."""
+    return _inverse_and_det(m)[0]
+
+
+def _inverse_and_det(m: Sequence[Sequence]) -> tuple[Matrix, Fraction]:
+    """Inverse and determinant of a nonsingular matrix, from one elimination."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("inverse of a non-square matrix")
     a, den = as_integer_matrix(m)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    if len(_bareiss(aug, n)[0]) < n:
+    pivots, d = _bareiss(aug, n)
+    if len(pivots) < n:
         raise ValueError("matrix is singular")
     # aug = (p * I | p * (den * m)^-1) with p = aug[i][i], and
-    # (den * m)^-1 = m^-1 / den, so each entry of m^-1 is den * x / p.
-    return tuple(tuple(Fraction(x * den, aug[i][i]) for x in row[n:])
-                 for i, row in enumerate(aug))
+    # (den * m)^-1 = m^-1 / den, so each entry of m^-1 is den * x / p;
+    # d = det(den * m), as in ``det``: the identity block never moves a pivot.
+    inv = tuple(tuple(Fraction(x * den, aug[i][i]) for x in row[n:])
+                for i, row in enumerate(aug))
+    return inv, Fraction(d, den ** n)
 
 
 def int_matrix(m: Sequence[Sequence]) -> IntMatrix:

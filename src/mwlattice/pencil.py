@@ -79,10 +79,9 @@ class PencilCoefficients:
 
 def pencil_equation(pc: PencilCoefficients) -> SparsePoly:
     """Member of the pencil at parameter t: x^2 y^{2g+1} - t sum c x^i y^j."""
-    moving = SparsePoly.zero()
-    for i, j, value in pc.entries:
-        moving = moving + SparsePoly.monomial(value, x=i, y=j)
-    return SparsePoly.monomial(1, x=2, y=2 * pc.g + 1) - T * moving
+    terms = {(1, i, j, 0): -value for i, j, value in pc.entries}
+    terms[(0, 2, 2 * pc.g + 1, 0)] = 1
+    return SparsePoly(terms)
 
 
 def discriminant_in_x(p: SparsePoly) -> SparsePoly:
@@ -185,11 +184,10 @@ class DoubleCoverCoefficients:
 
     def branch_polynomial(self) -> SparsePoly:
         """b0 y^{2g+1} + b10 t + t sum_j b1[j-1] y^j, the curve under t*y."""
-        out = SparsePoly.monomial(self.b0, y=2 * self.g + 1)
-        out = out + SparsePoly.monomial(self.b10, t=1)
-        for j, value in enumerate(self.b1, start=1):
-            out = out + SparsePoly.monomial(value, t=1, y=j)
-        return out
+        terms = {(1, 0, j, 0): value for j, value in enumerate(self.b1, start=1)}
+        terms[(0, 0, 2 * self.g + 1, 0)] = self.b0
+        terms[(1, 0, 0, 0)] = self.b10
+        return SparsePoly(terms)
 
 
 def pencil_to_double_cover(pc: PencilCoefficients) -> DoubleCoverCoefficients:
@@ -204,9 +202,7 @@ def pencil_to_double_cover(pc: PencilCoefficients) -> DoubleCoverCoefficients:
     g = pc.g
     c01 = pc.coefficient(0, 1)
     c20 = pc.coefficient(2, 0)
-    linear = SparsePoly.zero()
-    for k, value in pc.row(1).items():
-        linear = linear + SparsePoly.monomial(value, y=k - 1)
+    linear = SparsePoly({(0, 0, k - 1, 0): value for k, value in pc.row(1).items()})
     square = linear * linear
     b1 = []
     for j in range(1, 2 * g + 2):

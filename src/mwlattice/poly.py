@@ -5,10 +5,18 @@ nonnegative ints.  Zero coefficients are never stored, so ``terms`` is a
 canonical representation and equality is plain dict equality.  The string
 form lists terms in graded lexicographic order, which also fixes the
 serialization order.
+
+Public construction (``SparsePoly(...)``, ``const``, ``monomial``,
+``variable``) validates every exponent and converts every coefficient.
+Every ring result goes through the one term collector ``_collect``, which
+sums like terms into one dict, drops zeros and builds the result without
+validating again: its exponents are sums or shifts of valid exponents and
+its coefficients come out of ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -19,12 +27,12 @@ Exponent = tuple[int, int, int, int]
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 
 
-def _unit_exp(var: str, power: int = 1) -> Exponent:
-    if var not in _VAR_INDEX:
-        raise ValueError("unknown variable %r" % var)
-    e = [0, 0, 0, 0]
-    e[_VAR_INDEX[var]] = power
-    return tuple(e)
+def _index(var: str) -> int:
+    """Slot of a variable name in the exponent vector."""
+    try:
+        return _VAR_INDEX[var]
+    except KeyError:
+        raise ValueError("unknown variable %r" % (var,)) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,13 +44,16 @@ class SparsePoly:
     def __post_init__(self):
         clean = {}
         for exp, coef in self.terms.items():
-            coef = Fraction(coef)
-            if coef == 0:
-                continue
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != 4 or any(e < 0 for e in exp):
+            # Four nonnegative ints; booleans and non-integers are refused.
+            try:
+                key = tuple(operator.index(e) for e in exp)
+            except TypeError:
+                key = ()
+            if len(key) != 4 or min(key) < 0 or any(isinstance(e, bool) for e in exp):
                 raise ValueError("bad exponent vector %r" % (exp,))
-            clean[exp] = coef
+            coef = Fraction(coef)
+            if coef:
+                clean[key] = coef
         object.__setattr__(self, "terms", clean)
 
     # -- constructors -------------------------------------------------
@@ -57,33 +68,25 @@ class SparsePoly:
 
     @staticmethod
     def variable(name: str) -> "SparsePoly":
-        return SparsePoly({_unit_exp(name): Fraction(1)})
+        return SparsePoly.monomial(1, **{name: 1})
 
     @staticmethod
     def monomial(coef, **powers: int) -> "SparsePoly":
         e = [0, 0, 0, 0]
         for var, p in powers.items():
-            if var not in _VAR_INDEX:
-                raise ValueError("unknown variable %r" % var)
-            if p < 0:
-                raise ValueError("negative exponent")
-            e[_VAR_INDEX[var]] += p
+            e[_index(var)] = p
         return SparsePoly({tuple(e): Fraction(coef)})
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "SparsePoly":
-        other = _coerce(other)
-        out = dict(self.terms)
-        for exp, coef in other.terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + coef
-        return SparsePoly(out)
+        return _collect([*self.terms.items(), *_coerce(other).terms.items()])
 
     def __radd__(self, other) -> "SparsePoly":
         return self.__add__(other)
 
     def __neg__(self) -> "SparsePoly":
-        return SparsePoly({e: -c for e, c in self.terms.items()})
+        return _collect((e, -c) for e, c in self.terms.items())
 
     def __sub__(self, other) -> "SparsePoly":
         return self + (-_coerce(other))
@@ -92,13 +95,7 @@ class SparsePoly:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "SparsePoly":
-        other = _coerce(other)
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                out[exp] = out.get(exp, Fraction(0)) + c1 * c2
-        return SparsePoly(out)
+        return _collect(_products(self.terms, _coerce(other).terms))
 
     def __rmul__(self, other) -> "SparsePoly":
         return self.__mul__(other)
@@ -131,7 +128,7 @@ class SparsePoly:
 
     def degree(self, var: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
-        i = _VAR_INDEX[var]
+        i = _index(var)
         return max((e[i] for e in self.terms), default=-1)
 
     def total_degree(self) -> int:
@@ -139,69 +136,49 @@ class SparsePoly:
 
     def order(self, var: str) -> int:
         """Smallest exponent of ``var`` over all terms; -1 if zero poly."""
-        i = _VAR_INDEX[var]
+        i = _index(var)
         return min((e[i] for e in self.terms), default=-1)
 
     def uses(self, var: str) -> bool:
-        i = _VAR_INDEX[var]
+        i = _index(var)
         return any(e[i] for e in self.terms)
 
     def coefficient(self, var: str, power: int) -> "SparsePoly":
         """Coefficient of var^power, as a polynomial in the other variables."""
-        i = _VAR_INDEX[var]
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == power:
-                reduced = list(e)
-                reduced[i] = 0
-                out[tuple(reduced)] = c
-        return SparsePoly(out)
+        i = _index(var)
+        return _collect((e[:i] + (0,) + e[i + 1:], c)
+                        for e, c in self.terms.items() if e[i] == power)
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0, 0, 0, 0), Fraction(0))
 
     def substitute_value(self, var: str, value) -> "SparsePoly":
         """Plug a rational constant into one variable."""
-        i = _VAR_INDEX[var]
-        value = Fraction(value)
-        out: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            scaled = c * value ** e[i]
-            reduced = list(e)
-            reduced[i] = 0
-            key = tuple(reduced)
-            out[key] = out.get(key, Fraction(0)) + scaled
-        return SparsePoly(out)
+        return self.substitute(var, SparsePoly.const(value))
 
     def substitute(self, var: str, replacement: "SparsePoly") -> "SparsePoly":
-        """Plug a polynomial into one variable, exactly."""
-        i = _VAR_INDEX[var]
-        powers: dict[int, SparsePoly] = {0: SparsePoly.const(1)}
+        """Plug a polynomial into one variable, exactly.
 
-        def power_of(k: int) -> SparsePoly:
-            if k not in powers:
-                powers[k] = power_of(k - 1) * replacement
-            return powers[k]
-
-        result = SparsePoly.zero()
+        Terms are grouped by their power k of ``var``; each group times
+        replacement^k, from one list of powers, goes into one collector.
+        """
+        i = _index(var)
+        groups: dict[int, dict[Exponent, Fraction]] = {}
         for e, c in self.terms.items():
-            reduced = list(e)
-            reduced[i] = 0
-            base = SparsePoly({tuple(reduced): c})
-            result = result + base * power_of(e[i])
-        return result
+            groups.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+        powers = [SparsePoly.const(1)]
+        for _ in range(max(groups, default=0)):
+            powers.append(powers[-1] * replacement)
+        return _collect(pair for k, rest in groups.items()
+                        for pair in _products(rest, powers[k].terms))
 
     def divide_by(self, var: str, power: int) -> "SparsePoly":
         """Exact division by var^power; raises if any term lacks the factor."""
-        i = _VAR_INDEX[var]
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] < power:
-                raise ValueError("%s^%d does not divide every term" % (var, power))
-            reduced = list(e)
-            reduced[i] -= power
-            out[tuple(reduced)] = c
-        return SparsePoly(out)
+        i = _index(var)
+        if any(e[i] < power for e in self.terms):
+            raise ValueError("%s^%d does not divide every term" % (var, power))
+        return _collect((e[:i] + (e[i] - power,) + e[i + 1:], c)
+                        for e, c in self.terms.items())
 
     def __str__(self) -> str:
         if not self.terms:
@@ -224,6 +201,27 @@ class SparsePoly:
                 parts.append("%s*%s" % (coef, mono))
         text = " + ".join(parts)
         return text.replace("+ -", "- ")
+
+
+def _collect(pairs: Iterable[tuple[Exponent, Fraction]]) -> SparsePoly:
+    """Sum (exponent, coefficient) pairs into one polynomial, zeros dropped.
+
+    The trusted constructor of every ring result: ``__post_init__`` is not
+    run, so the pairs must already be valid exponents and ``Fraction``s.
+    """
+    out: dict[Exponent, Fraction] = {}
+    for exp, coef in pairs:
+        out[exp] = out[exp] + coef if exp in out else coef
+    poly = object.__new__(SparsePoly)
+    object.__setattr__(poly, "terms", {e: c for e, c in out.items() if c})
+    return poly
+
+
+def _products(a: Mapping[Exponent, Fraction], b: Mapping[Exponent, Fraction]):
+    """The (exponent, coefficient) pairs of the term-by-term product a * b."""
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            yield (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3]), c1 * c2
 
 
 def _coerce(value) -> SparsePoly:

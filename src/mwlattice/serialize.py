@@ -55,7 +55,8 @@ def poly_from_json(obj) -> SparsePoly:
         if (
             not isinstance(exp, list)
             or len(exp) != 4
-            or not all(isinstance(e, int) and e >= 0 for e in exp)
+            or not all(isinstance(e, int) and not isinstance(e, bool) and e >= 0
+                       for e in exp)
         ):
             raise InputFormatError("'exp' must be four nonnegative integers")
         key = tuple(exp)

@@ -223,6 +223,16 @@ def test_pencil_ade_bad_germ(capsys, tmp_path):
     assert "bad germ" in err
 
 
+def test_pencil_ade_boolean_exponent(capsys, tmp_path):
+    path = tmp_path / "germ.json"
+    path.write_text(json.dumps([{"exp": [True, 0, 1, 0], "coef": 1}]))
+    code, out, err = run(capsys, "pencil", "ade", "--germ", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ")
+    assert "'exp' must be four nonnegative integers" in err
+
+
 def test_pencil_transfer(capsys, coeffs_file):
     code, out, _ = run(capsys, "pencil", "transfer", "--coeffs", coeffs_file)
     assert code == 0

@@ -13,7 +13,6 @@ from mwlattice.errors import FormError
 from mwlattice.lattice import (
     AbelianGroupInvariants,
     IntegerLattice,
-    as_integer_gram,
     cokernel_invariants,
     dual_gram,
     gram_matrix,
@@ -111,6 +110,23 @@ def test_dual_gram():
         dual_gram(((1, 1), (1, 1)))
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.fractions(-2, 2, max_denominator=2), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_dual_gram_is_inverse_and_abs_det(rows):
+    m = tuple(map(tuple, rows))
+    d = determinant_by_expansion(m)
+    if d == 0:
+        with pytest.raises(FormError, match="^degenerate Gram matrix$"):
+            dual_gram(m)
+    else:
+        dual, disc = dual_gram(m)
+        assert isinstance(disc, Fraction) and disc == abs(d)
+        assert dual == mx.inverse(m)
+        assert mx.matmul(dual, m) == mx.identity(len(m))
+
+
 def test_ldl_positive_definite():
     d, r = ldl(A2)
     assert d == (Fraction(2), Fraction(3, 2))
@@ -186,7 +202,7 @@ def test_size_reduce_preserves_lattice():
 
 
 def test_as_integer_gram():
-    scaled, s = as_integer_gram(((Fraction(1, 2), 0), (0, Fraction(1, 3))))
+    scaled, s = mx.as_integer_matrix(((Fraction(1, 2), 0), (0, Fraction(1, 3))))
     assert s == 6
     assert scaled == ((3, 0), (0, 2))
 

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mwlattice.poly import T, X, Y, Z, SparsePoly
+from mwlattice.poly import VARIABLES, T, X, Y, Z, SparsePoly
 
 
 def _random_poly(rng, max_terms=5, max_exp=3):
@@ -29,6 +31,46 @@ def test_constructors():
         SparsePoly.monomial(1, x=-1)
     with pytest.raises(ValueError):
         SparsePoly({(1, 2, 3): Fraction(1)})
+
+
+@pytest.mark.parametrize("exp", [
+    (1.5, 0, 0, 0),
+    (Fraction(1), 0, 0, 0),
+    ("1", 0, 0, 0),
+    (True, 0, 0, 0),
+    (1, 0, 0, False),
+    (-1, 0, 0, 0),
+    (1, 2, 3),
+    (1, 2, 3, 4, 5),
+])
+def test_constructor_rejects_bad_exponents(exp):
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        SparsePoly({exp: 1})
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        SparsePoly({exp: 0})
+
+
+@pytest.mark.parametrize("power", [1.5, True, -1])
+def test_monomial_rejects_bad_powers(power):
+    with pytest.raises(ValueError):
+        SparsePoly.monomial(1, x=power)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: p.degree("w"),
+    lambda p: p.order("w"),
+    lambda p: p.uses("w"),
+    lambda p: p.coefficient("w", 1),
+    lambda p: p.substitute("w", T),
+    lambda p: p.substitute_value("w", 1),
+    lambda p: p.divide_by("w", 0),
+    lambda p: SparsePoly.variable("w"),
+    lambda p: SparsePoly.monomial(1, w=1),
+], ids=["degree", "order", "uses", "coefficient", "substitute",
+        "substitute_value", "divide_by", "variable", "monomial"])
+def test_unknown_variable_is_a_value_error(call):
+    with pytest.raises(ValueError, match="unknown variable 'w'"):
+        call(T * Y + 1)
 
 
 def test_zero_coefficients_dropped():
@@ -142,3 +184,50 @@ def test_equality_and_hashing_not_required():
     assert T != Y
     assert T != "t"
     assert not (T == 1)
+
+
+_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    max_size=5,
+).map(SparsePoly)
+
+
+def _substitute_by_coefficients(f, var, r):
+    """sum_k coefficient(var, k) * r^k: the reference for ``substitute``."""
+    out = SparsePoly.zero()
+    for k in range(f.degree(var) + 1):
+        out = out + f.coefficient(var, k) * r ** k
+    return out
+
+
+def _assert_canonical(p):
+    for exp, coef in p.terms.items():
+        assert type(exp) is tuple and len(exp) == 4
+        assert all(type(e) is int and e >= 0 for e in exp)
+        assert type(coef) is Fraction and coef != 0
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(f=_polys, r=_polys, var=st.sampled_from(VARIABLES),
+       value=st.fractions(min_value=-3, max_value=3, max_denominator=3))
+def test_substitute_matches_reference(f, r, var, value):
+    assert f.substitute(var, r) == _substitute_by_coefficients(f, var, r)
+    assert f.substitute_value(var, value) == f.substitute(var, SparsePoly.const(value))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(f=_polys, g=_polys, var=st.sampled_from(VARIABLES),
+       k=st.integers(0, 3), value=st.integers(-2, 2))
+def test_results_are_canonical(f, g, var, k, value):
+    shifted = f * SparsePoly.monomial(1, **{var: k})
+    results = [
+        f + g, f - g, -f, f * g, f ** k, (f + g) - g, f - f, 2 * f + value,
+        f.coefficient(var, k), f.substitute(var, g), f.substitute_value(var, value),
+        shifted.divide_by(var, k),
+    ]
+    for p in results:
+        _assert_canonical(p)
+    assert results[5] == f
+    assert results[6].is_zero()
+    assert results[-1] == f

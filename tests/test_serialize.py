@@ -84,6 +84,10 @@ def test_poly_from_json_rejections():
         poly_from_json([good, dict(good)])
     with pytest.raises(InputFormatError):
         poly_from_json([{"exp": [1, 0, 0, 0], "coef": True}])
+    with pytest.raises(InputFormatError, match="four nonnegative integers"):
+        poly_from_json([{"exp": [True, 0, 1, 0], "coef": 1}])
+    with pytest.raises(InputFormatError, match="four nonnegative integers"):
+        poly_from_json([{"exp": [1.5, 0, 0, 0], "coef": 1}])
 
 
 def test_pencil_coefficients_round_trip():
