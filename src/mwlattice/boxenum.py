@@ -111,6 +111,27 @@ def _box_fits_int64(gram, radii, tn, td) -> bool:
     return td * worst < _INT64_NORM_LIMIT and abs(tn) < _INT64_NORM_LIMIT
 
 
+def _box_radii(gram: Sequence[Sequence], bound) -> list[int]:
+    """Radii floor(sqrt(bound * (G^-1)_ii)) of the box holding every short vector.
+
+    Raises FormError when G is singular or visibly not positive definite.
+    """
+    gram = mx.mat(gram)
+    bound = Fraction(bound)
+    try:
+        inv = mx.inverse(gram)
+    except ValueError as exc:
+        raise FormError("Gram matrix is singular") from exc
+    radii = []
+    for i in range(len(gram)):
+        if inv[i][i] <= 0 or gram[i][i] <= 0:
+            raise FormError("form is not positive definite")
+        # floor(sqrt(q)) = isqrt(floor(q)) for rational q >= 0.
+        q = bound * inv[i][i]
+        radii.append(isqrt(q.numerator // q.denominator))
+    return radii
+
+
 def box_short_vectors(gram: Sequence[Sequence], bound) -> tuple[tuple[int, ...], ...]:
     """All nonzero vectors with norm <= bound, by exhaustive box scan.
 
@@ -119,24 +140,11 @@ def box_short_vectors(gram: Sequence[Sequence], bound) -> tuple[tuple[int, ...],
     :func:`mwlattice.lattice.short_vectors`.
     """
     gram = mx.mat(gram)
-    n = len(gram)
     bound = Fraction(bound)
-    if n == 0 or bound < 0:
+    if not gram or bound < 0:
         return ()
+    radii = _box_radii(gram, bound)
     int_gram, scale = mx.as_integer_matrix(gram)
-    # Positive definiteness check and dual diagonal for the radii.
-    try:
-        inv = mx.inverse(gram)
-    except ValueError as exc:
-        raise FormError("Gram matrix is singular") from exc
-    for i in range(n):
-        if inv[i][i] <= 0 or gram[i][i] <= 0:
-            raise FormError("form is not positive definite")
-    # floor(sqrt(q)) = isqrt(floor(q)) for rational q >= 0.
-    radii = []
-    for i in range(n):
-        q = bound * inv[i][i]
-        radii.append(isqrt(q.numerator // q.denominator))
     threshold = bound * scale
     tn, td = threshold.numerator, threshold.denominator
 

@@ -278,6 +278,10 @@ def _cmd_pencil_transfer(args) -> int:
 
 def _cmd_export(args) -> int:
     scenario = _resolve_scenario(args)
+    failures = validate_scenario(scenario).failures()
+    if failures:
+        _print_failures(failures)
+        return 1
     if not scenario.fibers:
         raise InputFormatError("scenario declares no reducible fibres")
     indices = range(len(scenario.fibers))

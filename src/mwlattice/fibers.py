@@ -138,9 +138,9 @@ def fiber_multiplicities(
         if c.model != fiber.model:
             raise ModelMismatchError("components and fibre on different models")
     matrix = tuple(c.coeffs for c in comps)
-    if mx.rank(matrix) < len(comps):
+    solution, rank = mx._solve_left_and_rank(matrix, fiber.coeffs)
+    if rank < len(comps):
         raise NotAFiberError("components are linearly dependent")
-    solution = mx.solve_left(matrix, fiber.coeffs)
     if solution is None:
         raise NotAFiberError("fibre class is not spanned by the components")
     mults = []

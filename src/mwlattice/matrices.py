@@ -7,8 +7,9 @@ clarity and verifiability over asymptotics.
 
 There is one Gaussian elimination: ``det``, ``inverse``, ``rank`` and
 ``solve_left`` (and ``lattice.dual_gram``, which reads the inverse and the
-determinant off one run) scale their matrix to integers once and run the same
-fraction-free (Bareiss) Gauss-Jordan elimination, in which every
+determinant off one run, and ``fibers.fiber_multiplicities``, which reads a
+solution and the rank off one run) scale their matrix to integers once and
+run the same fraction-free (Bareiss) Gauss-Jordan elimination, in which every
 intermediate entry is a minor of the scaled matrix, so all divisions are
 exact integer divisions and no ``Fraction`` is built until the result.
 
@@ -171,20 +172,26 @@ def int_matrix(m: Sequence[Sequence]) -> IntMatrix:
 
 
 def solve_left(a: Sequence[Sequence], b: Sequence):
-    """One rational solution x of x @ a = b, or None if inconsistent.
+    """One rational solution x of x @ a = b, or None if inconsistent."""
+    return _solve_left_and_rank(a, b)[0]
 
-    Reduces (a^T | b); the unknowns of columns without a pivot are 0.
+
+def _solve_left_and_rank(a: Sequence[Sequence], b: Sequence):
+    """``solve_left(a, b)`` and ``rank(a)``, from one elimination.
+
+    Reduces (a^T | b); the unknowns of columns without a pivot are 0, and
+    the pivots of the a^T block count the rank.
     """
     n = len(a)
     aug, _ = as_integer_matrix([*col, y] for col, y in zip(transpose(a), b))
     aug = list(aug)
     pivots, _ = _bareiss(aug, n)
     if any(row[n] for row in aug[len(pivots):]):
-        return None
+        return None, len(pivots)
     x = [Fraction(0)] * n
     for row, col in zip(aug, pivots):
         x[col] = Fraction(row[n], row[col])
-    return tuple(x)
+    return tuple(x), len(pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Each function here recomputes a result by a different route than the
 primary implementation: invariant factors via minor gcds instead of
-row reduction, short vectors via box enumeration instead of the
+row reduction, short vectors via box enumeration (in the given or the
+size-reduced basis, whichever box has fewer points) instead of the
 pruned recursive search, the discriminant via its factored form
 instead of b^2 - 4ac, and the distinguished fibre Gram matrix from its
 displayed entry pattern instead of from divisor classes.  Tests and the
@@ -12,10 +13,12 @@ the primary code paths.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
-from .boxenum import box_short_vectors
+from . import matrices as mx
+from .boxenum import _box_radii, box_short_vectors
 from .lattice import size_reduce
 from .pencil import PencilCoefficients
 from .poly import SparsePoly, T, Y
@@ -61,26 +64,28 @@ def invariant_factors_by_minors(m) -> tuple[int, ...]:
     return tuple(out)
 
 
-def brute_force_short_vectors(gram, bound, reduce: bool = True):
+def brute_force_short_vectors(gram, bound):
     """All nonzero vectors of norm <= bound by box enumeration.
 
-    With ``reduce`` the Gram matrix is size-reduced first and the
-    solutions mapped back, which shrinks the search box dramatically at
-    higher rank; the answer is identical either way.
+    The box is scanned in whichever basis gives it fewer points, the given
+    one or its :func:`size_reduce` form (ties keep the given one); vectors
+    found in the reduced basis are mapped back.  Size reduction shrinks the
+    box of many skewed Grams but enlarges that of the maximal lattices
+    D_n^+, so neither basis is always the better one.  The answer is the
+    same either way.
     """
-    if not reduce:
-        return box_short_vectors(gram, bound)
+    if Fraction(bound) < 0:
+        return ()
+    given = _box_size(gram, bound)
     reduced, transform = size_reduce(gram)
+    if given <= _box_size(reduced, bound):
+        return box_short_vectors(gram, bound)
     found = box_short_vectors(reduced, bound)
-    back = []
-    for v in found:
-        back.append(
-            tuple(
-                sum(v[i] * transform[i][j] for i in range(len(v)))
-                for j in range(len(v))
-            )
-        )
-    return tuple(sorted(back))
+    return tuple(sorted(mx.mat_vec(mx.transpose(transform), v) for v in found))
+
+
+def _box_size(gram, bound) -> int:
+    return prod(2 * r + 1 for r in _box_radii(gram, bound))
 
 
 def factored_pencil_discriminant(pc: PencilCoefficients) -> SparsePoly:

@@ -11,6 +11,7 @@ load from JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import matrices as mx
 from .errors import ConfigurationError, InputFormatError, InvalidModelError
@@ -283,6 +284,17 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
             )
         except Exception as exc:
             add("fiber_%d_dual_graph" % k, False, str(exc))
+    # Distinct fibres are disjoint curves: no component of one meets (or
+    # repeats) a component of another.
+    for (k, fa), (l, fb) in combinations(enumerate(scenario.fibers), 2):
+        meets = []
+        for a, la in zip(fa.components, fa.labels):
+            for b, lb in zip(fb.components, fb.labels):
+                w = intersect(a, b)
+                if w:
+                    meets.append("%s of fibre %d meets %s of fibre %d (%d)"
+                                 % (la, k, lb, l, w))
+        add("fibers_%d_%d_disjoint" % (k, l), not meets, "; ".join(meets))
     return ValidationReport(scenario.name, tuple(checks))
 
 

@@ -287,6 +287,48 @@ def test_export_without_reducible_fibres(capsys):
     assert "no reducible fibres" in err
 
 
+def _scenario_with_fibers(tmp_path, *fibers):
+    """A g = 1, d = 1 scenario file whose fibres list E_i - E_j components."""
+    doc = scenario_to_json(scenario_trivial_mw(1))
+    n = doc["n"]
+
+    def e_diff(i, j):
+        coeffs = [0] * (n + 2)
+        coeffs[1 + i], coeffs[1 + j] = -1, 1
+        return coeffs
+
+    doc["fibers"] = [
+        {"components": [e_diff(i, j) for i, j in fib]} for fib in fibers
+    ]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_export_invalid_fibre_exits_1(tmp_path):
+    path = _scenario_with_fibers(tmp_path, [(1, 2), (1, 2)])
+    proc = subprocess.run(
+        [sys.executable, "-m", "mwlattice", "export", "--scenario", path,
+         "--dot"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "FAIL fiber_0_multiplicities: components are linearly dependent" in lines
+    assert any(line.startswith("FAIL fiber_0_dual_graph: ") for line in lines)
+
+
+def test_mw_meeting_fibres_exit_1(capsys, tmp_path):
+    path = _scenario_with_fibers(tmp_path, [(1, 2)], [(2, 3)])
+    code, out, err = run(capsys, "mw", "--scenario", path)
+    assert code == 1
+    assert err == ""
+    assert any(line.startswith("FAIL fibers_0_1_disjoint: ")
+               for line in out.splitlines())
+
+
 def test_verify_all(capsys):
     code, out, _ = run(capsys, "verify-all", "--g", "1", "--seed", "0")
     assert code == 0

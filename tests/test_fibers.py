@@ -95,10 +95,11 @@ def test_multiplicities_failure_modes():
     e1 = exceptional(model, 1)
     with pytest.raises(NotAFiberError):
         fiber_multiplicities((), f)
-    with pytest.raises(NotAFiberError):
-        fiber_multiplicities((e1, e1), f)  # dependent rows
-    with pytest.raises(NotAFiberError):
-        fiber_multiplicities((e1,), f)  # does not span F
+    # dependent rows that do not span F either: dependence is reported
+    with pytest.raises(NotAFiberError, match="linearly dependent"):
+        fiber_multiplicities((e1, e1), f)
+    with pytest.raises(NotAFiberError, match="not spanned"):
+        fiber_multiplicities((e1,), f)
     # spans F with a negative coefficient: F - E1 and 2 E1 would need m < 1
     with pytest.raises(NotAFiberError):
         fiber_multiplicities((f - e1, f + e1), f)

@@ -8,10 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwlattice import matrices as mx
+from mwlattice import oracles
 from mwlattice.boxenum import box_short_vectors, enumeration_backend, set_backend
+from mwlattice.catalog import build_catalog
 from mwlattice.errors import FormError
-from mwlattice.lattice import short_vectors
+from mwlattice.lattice import short_vectors, size_reduce
+from mwlattice.mw import mwl
 from mwlattice.oracles import brute_force_short_vectors
+from mwlattice.scenarios import scenario_all_irreducible
 
 BACKENDS = ("python", "numpy")
 
@@ -71,9 +75,29 @@ def test_oracle_wrapper_matches():
     for _ in range(10):
         gram = _random_gram(rng, 3)
         assert brute_force_short_vectors(gram, 4) == short_vectors(gram, 4)
-        assert brute_force_short_vectors(gram, 4, reduce=False) == short_vectors(
-            gram, 4
-        )
+
+
+def test_oracle_scans_the_smaller_box(monkeypatch):
+    # E_8 (g = 1, d = 1): size reduction grows the box from 7.0e5 to 1.8e6
+    # points, so the given basis is scanned.  The rank-7 lattice of the
+    # catalog's g = 1 cycle scenario, shaped like the benchmark survey's: it
+    # shrinks the box from 196875 to 140625 points, so the reduced basis is
+    # scanned.
+    scanned = []
+
+    def recording_scan(gram, bound):
+        scanned.append(gram)
+        return box_short_vectors(gram, bound)
+
+    monkeypatch.setattr(oracles, "box_short_vectors", recording_scan)
+    catalog = {entry.name: entry.scenario for entry in build_catalog()}
+    e8 = mwl(scenario_all_irreducible(1, 1)).gram
+    cycles = mwl(catalog["g1-cycle2"]).gram
+    for gram, scan in ((e8, e8), (cycles, size_reduce(cycles)[0])):
+        assert size_reduce(gram)[0] != gram
+        scanned.clear()
+        assert brute_force_short_vectors(gram, 2) == short_vectors(gram, 2)
+        assert scanned == [scan]
 
 
 @st.composite
@@ -97,8 +121,7 @@ def test_box_oracle_properties(case):
     set_backend("numpy")
     assert box_short_vectors(gram, bound) == reference
     assert short_vectors(gram, bound) == reference
-    assert brute_force_short_vectors(gram, bound, reduce=True) == reference
-    assert brute_force_short_vectors(gram, bound, reduce=False) == reference
+    assert brute_force_short_vectors(gram, bound) == reference
 
 
 def test_box_rejects_bad_forms():

@@ -137,6 +137,7 @@ def test_rank_and_solve_left_properties(m, data):
     else:
         b = tuple(data.draw(st.lists(_ENTRIES, min_size=len(m[0]), max_size=len(m[0]))))
     x = mx.solve_left(m, b)
+    assert mx._solve_left_and_rank(m, b) == (x, rank)
     if mx.rank(m + (b,)) > rank:
         assert x is None
     else:

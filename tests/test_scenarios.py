@@ -104,6 +104,33 @@ def test_validation_names_each_failure():
     assert "fiber_0_dual_graph" in failed3
 
 
+def _two_component_fiber(model, i, j):
+    # E_i - E_j and its complement in F: a fibre of type I_2.
+    a = exceptional(model, i) - exceptional(model, j)
+    return ReducibleFiber((a, fiber_class(model) - a))
+
+
+def test_validation_rejects_meeting_fibres():
+    model = SurfaceModel.maximal(1, 1)
+    f = fiber_class(model)
+    section = (exceptional(model, 8),)
+    disjoint = Scenario("disjoint", model, f, section, (
+        _two_component_fiber(model, 1, 2), _two_component_fiber(model, 3, 4)))
+    assert validate_scenario(disjoint).ok
+    # (E1 - E2).(E2 - E3) = 1: each fibre is fine alone, but they meet.
+    meeting = Scenario("meeting", model, f, section, (
+        _two_component_fiber(model, 1, 2), _two_component_fiber(model, 2, 3)))
+    failed = validate_scenario(meeting).failures()
+    assert [c.name for c in failed] == ["fibers_0_1_disjoint"]
+    assert "Theta0 of fibre 0 meets Theta0 of fibre 1 (1)" in failed[0].detail
+    # One fibre declared twice: its components meet themselves.
+    twice = Scenario("twice", model, f, section, (
+        _two_component_fiber(model, 1, 2), _two_component_fiber(model, 3, 4),
+        _two_component_fiber(model, 1, 2)))
+    failed = validate_scenario(twice).failures()
+    assert [c.name for c in failed] == ["fibers_0_2_disjoint"]
+
+
 def test_validation_flags_nonmaximal_model():
     model = SurfaceModel(d=1, n=6, g=1)
     # no fibre class exists; fake one with the right numerology anyway
