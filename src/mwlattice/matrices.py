@@ -17,8 +17,11 @@ There is one Smith reduction: the classical row/column reduction, including
 the divisibility fix-up, so the diagonal entries divide successively.  It
 carries only the row transform U (``U @ M @ V == S``; V is never built):
 the rows of U past the rank span the left kernel, and the leading rows of
-``U @ M`` are a basis of the row lattice.  ``invariant_factors`` runs it
-without U, since it reads only the diagonal.
+``U @ M`` are a basis of the row lattice.  ``invariant_factors`` reads only
+the diagonal, so it first reduces a tall matrix (the root list of ``mw``,
+552 x 24 at g = 5) to a Hermite form of at most ``cols`` rows by unimodular
+row operations on sparse rows (Cohen, GTM 138, section 2.4), and runs the
+Smith reduction without U on that block.
 """
 
 from __future__ import annotations
@@ -67,7 +70,10 @@ def as_integer_matrix(m: Sequence[Sequence]) -> tuple[IntMatrix, int]:
     ``den`` is the lcm of the entries' denominators, so ``int_matrix`` is
     ``den * m`` exactly.
     """
-    rows = [[Fraction(x) for x in row] for row in m]
+    rows = tuple(tuple(row) for row in m)
+    if all(type(x) is int for row in rows for x in row):
+        return rows, 1
+    rows = [[Fraction(x) for x in row] for row in rows]
     den = lcm(1, *(x.denominator for row in rows for x in row))
     return tuple(tuple(x.numerator * (den // x.denominator) for x in row)
                  for row in rows), den
@@ -285,11 +291,71 @@ def _smith_reduce(m: Sequence[Sequence[int]], track: bool):
     return u, tuple(a[i][i] for i in range(min(rows, cols)) if a[i][i] != 0)
 
 
+def _add_sparse(dst: dict, src: dict, factor: int) -> None:
+    # dst += factor * src, for rows stored as {column: nonzero value}
+    for j, x in src.items():
+        y = dst.get(j, 0) + factor * x
+        if y:
+            dst[j] = y
+        else:
+            del dst[j]
+
+
+def _reduce_from(table: dict, row: dict, col: int) -> None:
+    # Bring ``row``'s entries in the pivot columns >= col into [0, pivot).
+    # Each step changes only columns at or right of its pivot column, so
+    # one pass in increasing column order leaves them all reduced.
+    for c in sorted(c for c in table if c >= col):
+        q = row.get(c, 0) // table[c][c]
+        if q:
+            _add_sparse(row, table[c], -q)
+
+
+def _hermite_rows(m: Sequence[Sequence[int]]) -> list[dict]:
+    """Rows of a Hermite form of ``m``, sparse, in order of leading column.
+
+    They span the row lattice of ``m`` (every step is a unimodular row
+    operation), so they have the same invariant factors, and there are at
+    most as many of them as columns.  Each pivot row's entries in the other
+    pivot columns lie in [0, pivot), which keeps the rows short: where a
+    pivot is 1, no other pivot row has an entry in its column.
+    """
+    table: dict[int, dict] = {}  # leading column -> pivot row
+    for values in m:
+        row = {j: x for j, x in enumerate(map(int, values)) if x}
+        while row:
+            col = min(row)
+            pivot = table.get(col)
+            if pivot is None:
+                if row[col] < 0:
+                    row = {j: -x for j, x in row.items()}
+                pivot, row = row, {}
+            else:
+                q = row[col] // pivot[col]
+                if q:
+                    _add_sparse(row, pivot, -q)
+                if col not in row:
+                    continue
+                # Euclid on the pair, both positive in ``col``: ``pivot``
+                # ends with their gcd there and ``row`` with a zero.
+                while col in row:
+                    _add_sparse(pivot, row, -(pivot[col] // row[col]))
+                    pivot, row = row, pivot
+            table[col] = pivot
+            _reduce_from(table, pivot, col + 1)
+            for c, other in table.items():
+                if c < col:
+                    _reduce_from(table, other, col)
+    return [table[c] for c in sorted(table)]
+
+
 def invariant_factors(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Nonzero diagonal entries of the Smith normal form of ``m``."""
     if not m or not m[0]:
         return ()
-    return _smith_reduce(m, track=False)[1]
+    cols = len(m[0])
+    block = [[row.get(j, 0) for j in range(cols)] for row in _hermite_rows(m)]
+    return _smith_reduce(block, track=False)[1]
 
 
 def left_kernel_basis(m: Sequence[Sequence[int]]) -> IntMatrix:

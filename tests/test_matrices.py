@@ -145,8 +145,27 @@ def test_rank_and_solve_left_properties(m, data):
         assert mx.matmul((x,), m) == (b,)
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(_INTEGER_RECTANGULAR)
+@st.composite
+def _tall_integer_matrices(draw):
+    """Up to 10 x 4, at least as many rows as columns, like ``mw``'s root
+    lists: each row is fresh, zero, or an earlier row scaled, duplicated or
+    negated, so the Hermite pre-pass meets every kind of dependent row."""
+    cols = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(cols, 10))):
+        kind = draw(st.sampled_from(("fresh", "earlier", "zero")))
+        if kind == "earlier" and rows:
+            factor = draw(st.sampled_from((1, -1, 2, -3, 4, 6)))
+            rows.append(tuple(factor * x for x in draw(st.sampled_from(rows))))
+        elif kind == "zero":
+            rows.append((0,) * cols)
+        else:
+            rows.append(tuple(draw(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols))))
+    return tuple(rows)
+
+
+@settings(derandomize=True, max_examples=140, deadline=None)
+@given(st.one_of(_INTEGER_RECTANGULAR, _tall_integer_matrices()))
 def test_smith_form_properties(m):
     factors = mx.invariant_factors(m)
     assert factors == invariant_factors_by_minors(m)
