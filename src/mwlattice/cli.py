@@ -100,17 +100,19 @@ def _resolve_scenario(args):
     return _from_input("genus", scenario_all_irreducible, args.g)
 
 
-def _print_failures(failures) -> None:
+def _valid_scenario(args):
+    """The scenario the arguments name, or None after printing its FAIL lines."""
+    scenario = _resolve_scenario(args)
+    failures = validate_scenario(scenario).failures()
     for check in failures:
         detail = ": %s" % check.detail if check.detail else ""
         print("FAIL %s%s" % (check.name, detail))
+    return None if failures else scenario
 
 
 def _cmd_mw(args) -> int:
-    scenario = _resolve_scenario(args)
-    failures = validate_scenario(scenario).failures()
-    if failures:
-        _print_failures(failures)
+    scenario = _valid_scenario(args)
+    if scenario is None:
         return 1
     report = mwl(scenario)
     group = report.group
@@ -153,10 +155,8 @@ def _cmd_mw(args) -> int:
 
 
 def _cmd_fiber(args) -> int:
-    scenario = _resolve_scenario(args)
-    failures = validate_scenario(scenario).failures()
-    if failures:
-        _print_failures(failures)
+    scenario = _valid_scenario(args)
+    if scenario is None:
         return 1
     rows = []
     for index, fib in enumerate(scenario.fibers):
@@ -277,10 +277,8 @@ def _cmd_pencil_transfer(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    scenario = _resolve_scenario(args)
-    failures = validate_scenario(scenario).failures()
-    if failures:
-        _print_failures(failures)
+    scenario = _valid_scenario(args)
+    if scenario is None:
         return 1
     if not scenario.fibers:
         raise InputFormatError("scenario declares no reducible fibres")

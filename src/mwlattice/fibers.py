@@ -2,7 +2,10 @@
 
 The dual graph of a reducible fibre has one node per component, decorated
 with the self-intersection, and an edge of weight Theta_i . Theta_j for
-each intersecting pair.  Four shapes get recognized:
+each intersecting pair.  Each recognized shape is one generated reference
+tree, labelled with squares and multiplicities (``_reference``), and a
+graph has the shape when that tree embeds in it as an induced subgraph with
+equal labels and weight-1 edges (``_embeds``):
 
 * ``RulingChainA``: chain of a ruling member through blown-up points,
   two (-1) ends and k nodes of square -2 between them, all multiplicity 1;
@@ -10,13 +13,14 @@ each intersecting pair.  Four shapes get recognized:
   and a fork into two multiplicity-1 tails of square -2;
 * ``TrivializingFiber``: the genus-g fibre on a maximal model whose
   presence forces the Mordell-Weil group to vanish: a fork with arm
-  lengths (4g+1, 1, 2), all squares -2 except the short-arm end -(g+1),
-  and multiplicity pattern (1, 2, ..., 4g+2, 2g+2, 2g+1, 2);
+  lengths (4g+1, 1, 2), all squares -2 except the end of the two-node arm,
+  -(g+1), and multiplicity pattern (1, 2, ..., 4g+2, 2g+2, 2g+1, 2);
 * ``TrivializingCoreOnly``: the graph is not that fibre, but contains its
-  core (the trivializing graph minus the multiplicity-1 end) as an
-  induced subgraph.
+  core (the trivializing tree minus the multiplicity-1 end, squares only)
+  as an induced subgraph.
 
-Everything else is ``Other``.
+A full shape is tested on simple trees of its own node count, so there the
+embedding is an isomorphism.  Everything else is ``Other``.
 """
 
 from __future__ import annotations
@@ -69,11 +73,6 @@ class DualGraph:
             adj[i].append((j, w))
             adj[j].append((i, w))
         return adj
-
-    def simple_degrees(self) -> tuple[int, ...]:
-        """Number of distinct neighbours of each node (weights ignored)."""
-        adj = self.adjacency()
-        return tuple(len(adj[i]) for i in range(len(self.nodes)))
 
     def is_connected(self) -> bool:
         if not self.nodes:
@@ -180,215 +179,111 @@ class FiberShape:
         return self.kind
 
 
-def _arms(graph: DualGraph, branch: int) -> list[list[int]] | None:
-    """Paths from a degree-3 node to the leaves, or None if not arm-like."""
-    adj = graph.adjacency()
-    arms = []
-    for first, _ in adj[branch]:
-        arm = [first]
-        prev, cur = branch, first
-        while True:
-            nxt = [k for k, _ in adj[cur] if k != prev]
-            if not nxt:
-                break
-            if len(nxt) > 1:
-                return None
-            prev, cur = cur, nxt[0]
-            arm.append(cur)
-        arms.append(arm)
-    return arms
+def _reference(kind: str, n: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Labels (square, multiplicity) and edges of the one n-node tree of a shape."""
+    if kind == KIND_RULING_CHAIN:
+        labels = [(-1, 1)] + [(-2, 1)] * (n - 2) + [(-1, 1)]
+        edges = [(i, i + 1) for i in range(n - 1)]
+    elif kind == KIND_RULING_FORK:
+        # Stem 0 .. n-3 from the (-1) end to the fork, tails n-2 and n-1.
+        labels = [(-1, 2)] + [(-2, 2)] * (n - 3) + [(-2, 1)] * 2
+        edges = [(i, i + 1) for i in range(n - 3)] + [(n - 3, n - 2), (n - 3, n - 1)]
+    else:
+        # Chain 0 .. 4g+2 with the short arm 4g+3 and the end 4g+4 of the
+        # middle arm, as in the paper.
+        g = (n - 5) // 4
+        squares = [-2] * (n - 1) + [-(g + 1)]
+        mults = list(range(1, 4 * g + 3)) + [2 * g + 2, 2 * g + 1, 2]
+        labels = list(zip(squares, mults))
+        edges = [(i, i + 1) for i in range(4 * g + 2)]
+        edges += [(4 * g + 1, 4 * g + 3), (4 * g + 2, 4 * g + 4)]
+    return labels, edges
 
 
-def _match_trivializing(graph: DualGraph, mults: Sequence[int]) -> int | None:
-    """Genus g when the graph is the full trivializing fibre, else None."""
-    n = len(graph)
-    if n < 9 or (n - 5) % 4 != 0:
-        return None
-    g = (n - 5) // 4
-    if not graph.is_simple_tree():
-        return None
-    degrees = graph.simple_degrees()
-    if sorted(degrees).count(3) != 1 or max(degrees) > 3:
-        return None
-    branch = degrees.index(3)
-    arms = _arms(graph, branch)
-    if arms is None:
-        return None
-    arms.sort(key=len)
-    if [len(a) for a in arms] != [1, 2, 4 * g + 1]:
-        return None
-    short, middle, long_arm = arms
-    sq = [node.self_intersection for node in graph.nodes]
-    special = middle[-1]
-    for i in range(n):
-        want = -(g + 1) if i == special else -2
-        if sq[i] != want:
-            return None
-    if mults[branch] != 4 * g + 2:
-        return None
-    if mults[short[0]] != 2 * g + 1:
-        return None
-    if mults[middle[0]] != 2 * g + 2 or mults[middle[1]] != 2:
-        return None
-    for pos, node in enumerate(long_arm):
-        if mults[node] != 4 * g + 1 - pos:
-            return None
-    return g
+def _embeds(
+    pattern: tuple[Sequence, Sequence[tuple[int, int]]], graph: DualGraph, labels: Sequence
+) -> bool:
+    """Whether the pattern tree sits in the graph as an induced subgraph.
 
+    ``pattern`` is (labels, edges).  A match sends its nodes to distinct
+    graph nodes of equal label, such that two chosen nodes meet exactly when
+    their pattern nodes do, and then by an edge of weight 1.
+    """
+    want, pattern_edges = pattern
+    pattern_near: dict[int, set[int]] = {p: set() for p in range(len(want))}
+    for a, b in pattern_edges:
+        pattern_near[a].add(b)
+        pattern_near[b].add(a)
+    # Place the nodes from one of highest degree outwards, each next to an
+    # earlier one, so every candidate is a neighbour of a placed node.
+    root = max(pattern_near, key=lambda p: len(pattern_near[p]))
+    order, parent = [root], {root: None}
+    for p in order:
+        for q in sorted(pattern_near[p] - parent.keys()):
+            parent[q] = p
+            order.append(q)
+    near = {v: {u for u, _ in pairs} for v, pairs in graph.adjacency().items()}
+    weight = {}
+    for i, j, w in graph.edges:
+        weight[i, j] = weight[j, i] = w
+    image: dict[int, int] = {}
 
-def _match_trivializing_core(graph: DualGraph) -> int | None:
-    """Smallest genus whose core diagram embeds as an induced subgraph."""
-    n = len(graph)
-    if n > 40:
-        return None
-    adj = graph.adjacency()
-    simple = {i: {j for j, _ in adj[i]} for i in range(n)}
-    weights = {(min(i, j), max(i, j)): w for i, j, w in graph.edges}
-    sq = [node.self_intersection for node in graph.nodes]
-
-    def induced_ok(selected: list[int], pattern_edges: set[tuple[int, int]]) -> bool:
-        pos = {node: k for k, node in enumerate(selected)}
-        for a in selected:
-            for b in simple[a]:
-                if b in pos and a < b:
-                    key = (min(pos[a], pos[b]), max(pos[a], pos[b]))
-                    if key not in pattern_edges or weights[(a, b)] != 1:
-                        return False
-        for (pa, pb) in pattern_edges:
-            ga, gb = selected[pa], selected[pb]
-            if gb not in simple[ga]:
-                return False
-        return True
-
-    def paths_from(start: int, avoid: set[int], length: int) -> list[list[int]]:
-        """Simple paths of exact node count starting at start, avoiding ``avoid``."""
-        out = []
-
-        def extend(path: list[int]):
-            if len(path) == length:
-                out.append(list(path))
-                return
-            for nxt in simple[path[-1]]:
-                if nxt not in avoid and nxt not in path:
-                    path.append(nxt)
-                    extend(path)
-                    path.pop()
-
-        extend([start])
-        return out
-
-    for g in range(1, (n - 4) // 4 + 1):
-        core = 4 * g + 4
-        if core > n:
-            break
-        # Pattern positions: 0..4g-1 long arm (leaf first), 4g branch,
-        # 4g+1 short arm, 4g+2 and 4g+3 the middle arm.
-        pattern_edges = {(i, i + 1) for i in range(4 * g - 1)}
-        pattern_edges |= {(4 * g - 1, 4 * g), (4 * g, 4 * g + 1), (4 * g, 4 * g + 2), (4 * g + 2, 4 * g + 3)}
-        pattern_edges = {(min(a, b), max(a, b)) for a, b in pattern_edges}
-        for branch in range(n):
-            if len(simple[branch]) < 3 or sq[branch] != -2:
+    def extend(k: int) -> bool:
+        if k == len(order):
+            return True
+        p = order[k]
+        for v in near[image[parent[p]]] if k else near:
+            if (
+                v in image.values()
+                or labels[v] != want[p]
+                or len(near[v]) < len(pattern_near[p])
+                or any(
+                    weight.get((v, u)) != (1 if q in pattern_near[p] else None)
+                    for q, u in image.items()
+                )
+            ):
                 continue
-            for s_node in simple[branch]:
-                if sq[s_node] != -2:
-                    continue
-                for m1 in simple[branch]:
-                    if m1 in (s_node,) or sq[m1] != -2:
-                        continue
-                    for m2 in simple[m1]:
-                        if m2 in (branch, s_node, m1) or sq[m2] != -(g + 1):
-                            continue
-                        avoid = {branch, s_node, m1, m2}
-                        starts = [
-                            x for x in simple[branch] if x not in avoid and sq[x] == -2
-                        ]
-                        for start in starts:
-                            for arm in paths_from(start, avoid, 4 * g):
-                                if any(sq[x] != -2 for x in arm):
-                                    continue
-                                selected = list(reversed(arm)) + [branch, s_node, m1, m2]
-                                if len(set(selected)) != core:
-                                    continue
-                                if induced_ok(selected, pattern_edges):
-                                    return g
-    return None
+            image[p] = v
+            if extend(k + 1):
+                return True
+            del image[p]
+        return False
 
-
-def _match_ruling_chain(graph: DualGraph, mults: Sequence[int]) -> int | None:
-    n = len(graph)
-    if n < 2 or not graph.is_simple_tree():
-        return None
-    degrees = graph.simple_degrees()
-    if max(degrees) > 2 or degrees.count(1) != 2:
-        return None
-    if any(m != 1 for m in mults):
-        return None
-    sq = [node.self_intersection for node in graph.nodes]
-    for i in range(n):
-        want = -1 if degrees[i] == 1 else -2
-        if sq[i] != want:
-            return None
-    return n - 2
-
-
-def _match_ruling_fork(graph: DualGraph, mults: Sequence[int]) -> int | None:
-    n = len(graph)
-    if n < 3 or not graph.is_simple_tree():
-        return None
-    sq = [node.self_intersection for node in graph.nodes]
-    degrees = graph.simple_degrees()
-    minus_one = [i for i in range(n) if sq[i] == -1]
-    if len(minus_one) != 1 or any(sq[i] != -2 for i in range(n) if i not in minus_one):
-        return None
-    stem_end = minus_one[0]
-    if mults[stem_end] != 2:
-        return None
-    tails = [i for i in range(n) if mults[i] == 1]
-    if len(tails) != 2 or any(degrees[i] != 1 for i in tails):
-        return None
-    if any(mults[i] != 2 for i in range(n) if i not in tails):
-        return None
-    if n == 3:
-        # Degenerate fork: tail - stem - tail.
-        if degrees[stem_end] == 2 and all(degrees[i] == 1 for i in tails):
-            return 2
-        return None
-    if degrees[stem_end] != 1:
-        return None
-    forks = [i for i in range(n) if degrees[i] == 3]
-    if len(forks) != 1 or max(degrees) > 3:
-        return None
-    fork = forks[0]
-    adj = graph.adjacency()
-    if not all(t in {j for j, _ in adj[fork]} for t in tails):
-        return None
-    # Remaining nodes must form the stem path from the fork to the -1 end.
-    arms = _arms(graph, fork)
-    if arms is None:
-        return None
-    stem = [a for a in arms if len(a) > 1 or a[0] == stem_end]
-    if len(stem) != 1 or stem[0][-1] != stem_end:
-        return None
-    return n - 1
+    return extend(0)
 
 
 def classify_shape(graph: DualGraph, multiplicities: Sequence[int]) -> FiberShape:
-    """Match the dual graph against the recognized shapes."""
+    """Match the dual graph against the recognized shapes.
+
+    A simple tree is compared with each full shape of its node count, on
+    (square, multiplicity).  Otherwise, or when none matches, the smallest
+    genus whose trivializing core embeds, on squares alone, gives
+    ``TrivializingCoreOnly``; that search returns ``Other`` for graphs of
+    more than 40 nodes.
+    """
     if len(multiplicities) != len(graph):
         raise ValueError("multiplicity count does not match node count")
-    mults = tuple(int(m) for m in multiplicities)
-    g = _match_trivializing(graph, mults)
-    if g is not None:
-        return FiberShape(KIND_TRIVIALIZING, genus=g)
-    k = _match_ruling_chain(graph, mults)
-    if k is not None:
-        return FiberShape(KIND_RULING_CHAIN, length=k)
-    k = _match_ruling_fork(graph, mults)
-    if k is not None:
-        return FiberShape(KIND_RULING_FORK, length=k)
-    g = _match_trivializing_core(graph)
-    if g is not None:
-        return FiberShape(KIND_TRIVIALIZING_CORE, genus=g)
+    n = len(graph)
+    squares = [node.self_intersection for node in graph.nodes]
+    labels = list(zip(squares, [int(m) for m in multiplicities]))
+    if graph.is_simple_tree():
+        full = []
+        if n >= 2:
+            full.append(FiberShape(KIND_RULING_CHAIN, length=n - 2))
+        if n >= 3:
+            full.append(FiberShape(KIND_RULING_FORK, length=n - 1))
+        if n >= 9 and n % 4 == 1:
+            full.append(FiberShape(KIND_TRIVIALIZING, genus=(n - 5) // 4))
+        for shape in full:
+            if _embeds(_reference(shape.kind, n), graph, labels):
+                return shape
+    if n <= 40:
+        for g in range(1, (n - 4) // 4 + 1):
+            # The trivializing tree minus node 0, its multiplicity-1 end.
+            ref_labels, ref_edges = _reference(KIND_TRIVIALIZING, 4 * g + 5)
+            core = [s for s, _ in ref_labels[1:]], [(a - 1, b - 1) for a, b in ref_edges if a]
+            if _embeds(core, graph, squares):
+                return FiberShape(KIND_TRIVIALIZING_CORE, genus=g)
     return FiberShape(KIND_OTHER)
 
 

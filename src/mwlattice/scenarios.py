@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import matrices as mx
-from .errors import ConfigurationError, InputFormatError, InvalidModelError
+from .errors import ConfigurationError, InputFormatError, InvalidModelError, MWLatticeError
 from .fibers import dual_graph, fiber_multiplicities
 from .surface import (
     DivisorClass,
@@ -273,7 +273,7 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
         try:
             mults = fiber_multiplicities(fib.components, f)
             add("fiber_%d_multiplicities" % k, True, "m = %s" % (mults,))
-        except Exception as exc:
+        except MWLatticeError as exc:
             add("fiber_%d_multiplicities" % k, False, str(exc))
         try:
             graph = dual_graph(fib.components, fib.labels)
@@ -282,7 +282,7 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
                 graph.is_connected(),
                 "" if graph.is_connected() else "dual graph is disconnected",
             )
-        except Exception as exc:
+        except MWLatticeError as exc:
             add("fiber_%d_dual_graph" % k, False, str(exc))
     # Distinct fibres are disjoint curves: no component of one meets (or
     # repeats) a component of another.

@@ -1,6 +1,8 @@
 """Dual graphs, component multiplicities, shape recognition."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwlattice.errors import NotAFiberError
 from mwlattice.fibers import (
@@ -113,7 +115,7 @@ def test_rank_formula():
         mw_rank_formula(10, (0,))
 
 
-@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
 def test_classify_trivializing(g):
     sc = scenario_trivial_mw(g)
     graph = dual_graph(sc.fibers[0].components, sc.fibers[0].labels)
@@ -123,7 +125,7 @@ def test_classify_trivializing(g):
     assert str(shape) == "TrivializingFiber(g=%d)" % g
 
 
-@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
 def test_classify_core_only(g):
     # the full trivializing tree with its free chain end removed still
     # contains the distinguished core, but not the whole shape
@@ -143,6 +145,117 @@ def test_classify_core_only(g):
     shape = classify_shape(reduced, mults)
     assert shape == FiberShape(KIND_TRIVIALIZING_CORE, genus=g)
     assert str(shape) == "TrivializingCoreOnly(g=%d)" % g
+
+
+def _oracle_fiber(g):
+    """Squares, edges and multiplicities of the distinguished fibre, from the oracle."""
+    gram = reference_reducible_fiber_gram(g)
+    n = len(gram)
+    squares = [gram[i][i] for i in range(n)]
+    edges = [(i, j, gram[i][j]) for i in range(n) for j in range(i + 1, n) if gram[i][j]]
+    return squares, edges, list(reference_component_multiplicities(g))
+
+
+def _oracle_core(g):
+    """The oracle fibre without node 0, its multiplicity-1 end."""
+    squares, edges, mults = _oracle_fiber(g)
+    return squares[1:], [(i - 1, j - 1, w) for i, j, w in edges if i], mults[1:]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_classify_oracle_fiber(g):
+    # the recognizer agrees with the independent entry-pattern oracle
+    squares, edges, mults = _oracle_fiber(g)
+    shape = classify_shape(_graph(squares, edges), mults)
+    assert shape == FiberShape(KIND_TRIVIALIZING, genus=g)
+
+
+def _chain(k):
+    squares = [-1] + [-2] * k + [-1]
+    edges = [(i, i + 1, 1) for i in range(k + 1)]
+    return squares, edges, [1] * (k + 2), FiberShape(KIND_RULING_CHAIN, length=k)
+
+
+def _fork(k):
+    # stem 0 .. k-2 from the (-1) end to the fork, tails k-1 and k
+    squares = [-1] + [-2] * k
+    edges = [(i, i + 1, 1) for i in range(k - 2)] + [(k - 2, k - 1, 1), (k - 2, k, 1)]
+    mults = [2] * (k - 1) + [1, 1]
+    return squares, edges, mults, FiberShape(KIND_RULING_FORK, length=k)
+
+
+def _trivializing(g):
+    return (*_oracle_fiber(g), FiberShape(KIND_TRIVIALIZING, genus=g))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.integers(1, 10).map(_chain),
+        st.integers(2, 11).map(_fork),
+        st.integers(1, 5).map(_trivializing),
+    ),
+    st.sampled_from(("square", "multiplicity", "edge")),
+    st.data(),
+)
+def test_shape_survives_relabelling_not_one_change(case, change, data):
+    squares, edges, mults, shape = case
+    n = len(squares)
+    perm = data.draw(st.permutations(range(n)))
+    squares = [squares[perm.index(v)] for v in range(n)]
+    mults = [mults[perm.index(v)] for v in range(n)]
+    edges = [(perm[i], perm[j], w) for i, j, w in edges]
+    assert classify_shape(_graph(squares, edges), mults) == shape
+    node = data.draw(st.integers(0, n - 1))
+    if change == "square":
+        squares[node] += data.draw(st.sampled_from((-1, 1)))
+    elif change == "multiplicity":
+        mults[node] += data.draw(st.integers(1, 3))
+    else:
+        pairs = {(min(i, j), max(i, j)) for i, j, _ in edges}
+        free = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in pairs]
+        edges[data.draw(st.integers(0, len(edges) - 1))] = data.draw(st.sampled_from(free)) + (1,)
+    assert classify_shape(_graph(squares, edges), mults) != shape
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_classify_core_must_be_induced(g):
+    # the core graph (oracle fibre minus its multiplicity-1 end) with a chord
+    # from the long-arm end to the branch, or with one doubled edge, holds
+    # the genus-g core only as a non-induced subgraph; for g > 1 the genus-1
+    # core still fits around the chord's cycle
+    squares, core, mults = _oracle_core(g)
+    chord = _graph(squares, core + [(0, 4 * g, 1)])
+    assert classify_shape(chord, mults) == (
+        FiberShape(KIND_OTHER) if g == 1 else FiberShape(KIND_TRIVIALIZING_CORE, genus=1)
+    )
+    doubled = _graph(squares, [(i, j, 2 if j == 4 * g + 3 else w) for i, j, w in core])
+    assert classify_shape(doubled, mults).kind == KIND_OTHER
+    assert classify_shape(_graph(squares, core), mults) == FiberShape(
+        KIND_TRIVIALIZING_CORE, genus=g
+    )
+
+
+def test_classify_core_takes_smallest_genus():
+    # disjoint genus-1 and genus-2 cores: the smaller genus is reported
+    sq2, e2, _ = _oracle_core(2)
+    sq1, e1, _ = _oracle_core(1)
+    shift = len(sq2)
+    graph = _graph(sq2 + sq1, e2 + [(i + shift, j + shift, w) for i, j, w in e1])
+    assert classify_shape(graph, [1] * len(graph)) == FiberShape(
+        KIND_TRIVIALIZING_CORE, genus=1
+    )
+
+
+def test_classify_core_search_stops_above_40_nodes():
+    squares, edges, mults = _oracle_fiber(9)  # 41 nodes
+    full = _graph(squares, edges)
+    assert classify_shape(full, mults) == FiberShape(KIND_TRIVIALIZING, genus=9)
+    assert classify_shape(full, [1] * 41).kind == KIND_OTHER
+    squares, core, mults = _oracle_core(9)
+    assert classify_shape(_graph(squares, core), mults) == FiberShape(
+        KIND_TRIVIALIZING_CORE, genus=9
+    )
 
 
 def test_classify_core_requires_branch_geometry():

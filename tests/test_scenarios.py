@@ -3,6 +3,7 @@
 import pytest
 
 from mwlattice import matrices as mx
+from mwlattice import scenarios
 from mwlattice.errors import ConfigurationError, InputFormatError
 from mwlattice.scenarios import (
     BasisIsometry,
@@ -220,3 +221,13 @@ def test_json_rejects_malformed():
             scenario_from_json(broken)
     with pytest.raises(InputFormatError):
         scenario_from_json([1, 2, 3])
+
+
+def test_validate_scenario_raises_programming_errors(monkeypatch):
+    # only MWLatticeError is bad data; a TypeError is a bug and must surface
+    def broken(components, fiber):
+        raise TypeError("broken helper")
+
+    monkeypatch.setattr(scenarios, "fiber_multiplicities", broken)
+    with pytest.raises(TypeError, match="broken helper"):
+        validate_scenario(scenario_trivial_mw(1))
