@@ -11,13 +11,25 @@ with those radii and filtering by the exact norm is a complete search.
 
 Two interchangeable backends exist:
 
-* ``numpy`` (the default): chunked vectorized scan of half of the box
-  (mirrored), in float64 on integer values below 2^52, which is exact;
+* ``numpy`` (the default): a tiled scan of half of the box.  The
+  coordinates split into a head block a and a tail block b whose boxes
+  hold about equally many points, and the norm is
+
+      q1(a) + q2(b) + 2 a G12 b^T.
+
+  Every head point and every tail point is built once, with its own norm;
+  a tile of head rows then gets all its norms from one float64 matrix
+  product against the tail points.  Only the lexicographically positive
+  half is scanned (a positive, or a = 0 and b positive) and mirrored.
 * ``python``: direct product loop in arbitrary precision, the reference.
 
-A conservative int64 overflow precheck sends any box the numpy scan cannot
-handle exactly to the python backend, so the result never depends on the
-backend.
+Every box point is evaluated exactly; nothing is pruned.  The numpy scan
+runs only on boxes that pass an overflow precheck: |tn| < 2^50 and
+td * sum_ij |g_ij| r_i r_j < 2^50 for the integer Gram (g_ij), the radii
+r_i and the scaled bound tn/td.  Every partial sum of a norm, in any
+summation order, is then an integer below 2^51, which float64 holds
+exactly.  Any other box goes to the python backend, so the result never
+depends on the backend.
 """
 
 from __future__ import annotations
@@ -32,7 +44,7 @@ import numpy as _np
 from . import matrices as mx
 from .errors import FormError
 
-_CHUNK = 1 << 20
+_TILE = 1 << 20  # norms computed per tile
 _INT64_NORM_LIMIT = 1 << 50
 
 _DEFAULT_BACKEND = "numpy"
@@ -71,35 +83,52 @@ def _enumerate_python(gram, radii, tn, td):
     return results
 
 
+def _grid(radii) -> _np.ndarray:
+    """Every point of the box with these radii, one per row, lexicographically.
+
+    Each side has odd length 2r+1, so the zero vector is the middle row and
+    the rows after it are exactly the lexicographically positive points.
+    """
+    sizes = [2 * r + 1 for r in radii]
+    points = _np.indices(sizes, dtype=_np.float64).reshape(len(sizes), prod(sizes)).T
+    return points - _np.array(radii)
+
+
+def _head_size(radii) -> int:
+    """Length h >= 1 of the head block v[:h], splitting the box points evenly."""
+    sizes = [2 * r + 1 for r in radii]
+    return min(
+        range(1, len(sizes) + 1),
+        key=lambda k: max(prod(sizes[:k]), prod(sizes[k:])),
+    )
+
+
 def _enumerate_numpy(gram, radii, tn, td):
-    n = len(radii)
+    h = _head_size(radii)
     g = _np.array(gram, dtype=_np.float64)
-    out = []
-    # Stratify by the first nonzero coordinate, taken positive; mirror at
-    # the end.  This halves the work relative to the full box.
-    for k in range(n):
-        rk = radii[k]
-        if rk == 0:
-            continue
-        tail = radii[k + 1:]
-        sizes = [rk] + [2 * r + 1 for r in tail]
-        total = prod(sizes)
-        for start in range(0, total, _CHUNK):
-            idx = _np.arange(start, min(start + _CHUNK, total), dtype=_np.int64)
-            vecs = _np.zeros((len(idx), n), dtype=_np.float64)
-            rem = idx
-            for pos in range(len(sizes) - 1, -1, -1):
-                rem, digit = _np.divmod(rem, sizes[pos])
-                if pos == 0:
-                    vecs[:, k] = digit + 1
-                else:
-                    vecs[:, k + pos] = digit - tail[pos - 1]
-            norms = _np.einsum("ij,ij->i", vecs @ g, vecs)
-            mask = td * norms <= tn
-            for row in vecs[mask].astype(_np.int64):
-                out.append(tuple(int(x) for x in row))
-    out.extend(tuple(-x for x in v) for v in list(out))
-    return out
+    a = _grid(radii[:h])
+    b = _grid(radii[h:])
+    a = a[len(a) // 2 + 1:]  # lexicographically positive heads
+    q1 = _np.einsum("ij,jk,ik->i", a, g[:h, :h], a)
+    q2 = _np.einsum("ij,jk,ik->i", b, g[h:, h:], b)
+    cross = 2 * a @ g[:h, h:]
+    # norm(a, b) = q1(a) + q2(b) + 2 a G12 b is an integer for integer
+    # points, so td * norm <= tn is norm <= floor(tn / td).
+    limit = tn // td
+    # a = 0 with b lexicographically positive; then every positive head
+    # against all of B, one tile of rows at a time.  Mirror at the end.
+    zero = len(b) // 2
+    tails = _np.flatnonzero(q2[zero + 1:] <= limit) + zero + 1
+    hits = [_np.hstack([_np.zeros((len(tails), h)), b[tails]])]
+    rows = max(1, _TILE // len(b))
+    for start in range(0, len(a), rows):
+        stop = start + rows
+        norms = cross[start:stop] @ b.T
+        norms += q2
+        i, j = _np.nonzero(norms <= (limit - q1[start:stop])[:, None])
+        hits.append(_np.hstack([a[start + i], b[j]]))
+    found = _np.concatenate(hits).astype(_np.int64)
+    return [tuple(v) for v in _np.concatenate([found, -found]).tolist()]
 
 
 def _box_fits_int64(gram, radii, tn, td) -> bool:

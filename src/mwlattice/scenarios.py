@@ -270,6 +270,15 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
             all(x == 0 for x in off),
             "components meet F in %s" % (off,),
         )
+        # A curve has p_a >= 0.  Not p_a = 0: the cycle fibres at g >= 2 have
+        # a component of arithmetic genus g - 1.
+        for i, c in enumerate(fib.components):
+            name = "fiber_%d_component_%d_genus" % (k, i)
+            try:
+                pa = adjunction_genus(c)
+                add(name, pa >= 0, "p_a = %d" % pa)
+            except InvalidModelError as exc:
+                add(name, False, str(exc))
         try:
             mults = fiber_multiplicities(fib.components, f)
             add("fiber_%d_multiplicities" % k, True, "m = %s" % (mults,))

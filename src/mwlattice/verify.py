@@ -97,10 +97,12 @@ def check_maximal_mwl(genera) -> CriterionResult:
         if rep.root_count != want:
             failures.append("g=%d root count %d != %d" % (g, rep.root_count, want))
         if rep.rank <= ORACLE_RANK_LIMIT:
-            box = oracles.brute_force_short_vectors(rep.gram, 2)
-            direct = short_vectors(rep.gram, 2)
-            if box != direct:
-                failures.append("g=%d enumeration oracle disagrees" % g)
+            # The box oracle checks the lattice of every model d = 0..g+1.
+            for d in range(g + 2):
+                gram = mwl(scenario_all_irreducible(g, d)).gram
+                box = oracles.brute_force_short_vectors(gram, 2)
+                if box != short_vectors(gram, 2):
+                    failures.append("g=%d d=%d enumeration oracle disagrees" % (g, d))
     return _result(
         "maximal-mwl",
         failures,

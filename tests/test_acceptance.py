@@ -8,7 +8,8 @@ there are no tolerances to configure.
 
 import pytest
 
-from mwlattice.verify import run_all
+from mwlattice import oracles
+from mwlattice.verify import check_maximal_mwl, run_all
 
 CRITERIA = (
     "fiber-gram",
@@ -38,3 +39,18 @@ def test_criterion(battery, name, capsys):
     with capsys.disabled():
         print(result.line())
     assert result.passed, result.detail
+
+
+def test_maximal_mwl_runs_the_box_oracle_at_every_model(monkeypatch):
+    scanned = []
+
+    def short_by_one(gram, bound):
+        scanned.append(gram)
+        return oracles.box_short_vectors(gram, bound)[1:]
+
+    monkeypatch.setattr(oracles, "brute_force_short_vectors", short_by_one)
+    result = check_maximal_mwl((1,))
+    assert not result.passed
+    assert len(scanned) == 3
+    for d in (0, 1, 2):
+        assert "g=1 d=%d enumeration oracle disagrees" % d in result.detail

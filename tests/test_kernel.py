@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from mwlattice import matrices as mx
 from mwlattice import oracles
-from mwlattice.boxenum import _box_radii, box_short_vectors, enumeration_backend, set_backend
+from mwlattice import boxenum
+from mwlattice.boxenum import (
+    _box_radii,
+    _head_size,
+    box_short_vectors,
+    enumeration_backend,
+    set_backend,
+)
 from mwlattice.catalog import build_catalog
 from mwlattice.errors import FormError
 from mwlattice.lattice import short_vectors, size_reduce
@@ -101,9 +108,70 @@ def test_oracle_scans_the_smaller_box(monkeypatch):
         assert scanned == [scan]
 
 
+def _numpy_matches_python(monkeypatch, gram, bound):
+    set_backend("python")
+    reference = box_short_vectors(gram, bound)
+    set_backend("numpy")
+    with monkeypatch.context() as m:
+        # The numpy scan must run, not fall back to the reference.
+        m.setattr(boxenum, "_enumerate_python", None)
+        got = box_short_vectors(gram, bound)
+    assert got == reference
+    assert len(set(got)) == len(got)
+    return got
+
+
+def test_tiled_scan_rank_one(monkeypatch):
+    assert _numpy_matches_python(monkeypatch, ((3,),), 12) == (
+        (-2,), (-1,), (1,), (2,))
+
+
+def test_tiled_scan_zero_radius(monkeypatch):
+    gram = ((1, 0), (0, 100))
+    assert _box_radii(gram, 2) == [1, 0]
+    assert _numpy_matches_python(monkeypatch, gram, 2) == ((-1, 0), (1, 0))
+
+
+def test_tiled_scan_single_tail_coordinate(monkeypatch):
+    gram = ((4, 1, 1), (1, 3, 1), (1, 1, 1))
+    radii = _box_radii(gram, 6)
+    assert _head_size(radii) == len(radii) - 1
+    assert _numpy_matches_python(monkeypatch, gram, 6)
+
+
+def test_tiled_scan_rational_gram(monkeypatch):
+    gram = ((Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 3), 1))
+    bound = Fraction(7, 5)
+    _, scale = mx.as_integer_matrix(gram)
+    assert (bound * scale).denominator > 1
+    assert _numpy_matches_python(monkeypatch, gram, bound)
+
+
+def test_tiled_scan_mirror_boundary(monkeypatch):
+    # Z^4 at bound 2: head (v0, v1), tail (v2, v3).  The vectors with a zero
+    # head, such as (0, 0, 1, -1) and its mirror (0, 0, -1, 1), are found
+    # once each.
+    gram = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    assert _head_size(_box_radii(gram, 2)) == 2
+    got = _numpy_matches_python(monkeypatch, gram, 2)
+    assert len(got) == 2 * 4 + 4 * 6
+    assert (0, 0, 1, -1) in got and (0, 0, -1, 1) in got
+    assert (0, 0, 0, 1) in got and (0, 0, 0, -1) in got
+
+
+def test_tiled_scan_many_tiles(monkeypatch):
+    # Tiles of a few rows each, so most boxes span several tiles and end on
+    # a partial one.
+    monkeypatch.setattr(boxenum, "_TILE", 20)
+    rng = random.Random(43)
+    for _ in range(20):
+        gram = _random_gram(rng, rng.randint(2, 4))
+        _numpy_matches_python(monkeypatch, gram, rng.randint(1, 8))
+
+
 @st.composite
 def _gram_and_bound(draw):
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
     entry = st.integers(-3, 3)
     b = draw(
         st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
@@ -118,8 +186,9 @@ def _box_points(case):
 
 
 # The python reference scans the whole box, so boxes stay small enough for
-# it to run on every example.
-@settings(derandomize=True, max_examples=25, deadline=None)
+# it to run on every example.  Ranks up to 6 give head and tail blocks of up
+# to three coordinates each.
+@settings(derandomize=True, max_examples=50, deadline=None)
 @given(_gram_and_bound().filter(lambda case: _box_points(case) <= 200_000))
 def test_box_oracle_properties(case):
     gram, bound = case

@@ -105,6 +105,21 @@ def test_validation_names_each_failure():
     assert "fiber_0_dual_graph" in failed3
 
 
+def test_validation_rejects_negative_genus_component():
+    # At g = 2, C = E_1 - F - O has C.F = 0, C^2 = -2 and K.C = -2, so
+    # p_a(C) = -1: no fibre component is such a class.
+    model = SurfaceModel.maximal(2)
+    f = fiber_class(model)
+    zero = exceptional(model, model.n)
+    c = exceptional(model, 1) - f - zero
+    assert (intersect(c, f), intersect(c, c)) == (0, -2)
+    sc = Scenario("negative-genus", model, f, (zero,), (ReducibleFiber((c, f - c)),))
+    checks = {ch.name: ch for ch in validate_scenario(sc).checks}
+    assert not checks["fiber_0_component_0_genus"].passed
+    assert checks["fiber_0_component_0_genus"].detail == "p_a = -1"
+    assert checks["fiber_0_component_1_genus"].passed
+
+
 def _two_component_fiber(model, i, j):
     # E_i - E_j and its complement in F: a fibre of type I_2.
     a = exceptional(model, i) - exceptional(model, j)
