@@ -8,13 +8,16 @@ reductions; exceeding it yields the separate verdict Unresolved.
 
 Multiplicity 2 goes through the A-chain: complete the square on the
 quadratic part, then absorb the u-linear tail one lowest term at a time
-until the u-free tail dominates.  Multiplicity 3 splits on the root
-pattern of the cubic form: three simple roots give D(4); a double root
-leads to the D-chain around the normal form u^2 v + v^{k-1}; a triple
-root leads to the E-decision governed by the orders of the u-linear and
-u-free tails, with u^2-tail terms absorbed as needed.  Multiplicity 4 or
-more is never simple.  Negligibility of remaining terms is decided by
-the weights of the candidate normal form, so every verdict is exact.
+until the u-free tail dominates.  Multiplicity 3 reads the tangent lines
+off the Hessian of the cubic part, a binary quadratic with -3 times the
+cubic's discriminant: if that is nonzero the three lines are distinct,
+D(4); a vanishing Hessian marks a triple line, which leads to the
+E-decision governed by the orders of the u-linear and u-free tails, with
+u^2-tail terms absorbed as needed; otherwise the Hessian's double root is
+the double line, which leads to the D-chain around the normal form
+u^2 v + v^{k-1}.  Multiplicity 4 or more is never simple.  Negligibility
+of remaining terms is decided by the weights of the candidate normal
+form, so every verdict is exact.
 
 The two local variables ride in the t and y slots of SparsePoly; audit
 messages call them u and v.  Every coordinate change is an exact
@@ -113,58 +116,6 @@ class _State:
 
 
 # ---------------------------------------------------------------------------
-# univariate helpers over the rationals (dense coefficient lists, low first)
-
-
-def _trimmed(p) -> list[Fraction]:
-    p = [Fraction(c) for c in p]
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _derivative(p) -> list[Fraction]:
-    return [i * p[i] for i in range(1, len(p))]
-
-
-def _poly_mod(a, b) -> list[Fraction]:
-    a = _trimmed(a)
-    b = _trimmed(b)
-    while len(a) >= len(b):
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] -= factor * c
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
-def _poly_gcd(a, b) -> list[Fraction]:
-    """Monic gcd; the zero polynomial is the gcd of (0, 0)."""
-    a, b = _trimmed(a), _trimmed(b)
-    while b:
-        a, b = b, _poly_mod(a, b)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _deflate(p, root) -> list[Fraction]:
-    """Exact division by (w - root); the remainder must vanish."""
-    p = _trimmed(p)
-    out: list[Fraction] = [Fraction(0)] * (len(p) - 1)
-    carry = Fraction(0)
-    for i in range(len(p) - 1, 0, -1):
-        carry = p[i] + carry * root
-        out[i - 1] = carry
-    if p[0] + carry * root != 0:
-        raise InternalConsistencyError("claimed root does not divide")
-    return out
-
-
-# ---------------------------------------------------------------------------
 # germ bookkeeping
 
 
@@ -238,28 +189,20 @@ def _d_chain(state: _State, kappa: Fraction) -> GermClassification:
             )
         r = _order(c_tail)
         k_b = _order(b_tail)
-        if r is not None and (k_b is None or 2 * k_b > r + 1):
-            blocking = [
-                (h, coef)
-                for h, coef in _pure_u_terms(state.f)
-                if h * (r - 1) <= 2 * r
-            ]
-            if not blocking:
-                return state.done(
-                    KIND_D, r + 1, "normal form u^2 v + v^%d" % r
-                )
         if k_b is not None and (r is None or 2 * k_b <= r + 1):
             j, beta = _lowest(b_tail)
             state.shift_u(beta / (2 * kappa), j - 1)
             continue
-        pure = [
+        # Now r is set and every u v^j term is negligible; any pure-u term
+        # that is not negligible blocks the normal form.
+        blocking = [
             (h, coef)
             for h, coef in _pure_u_terms(state.f)
-            if r is None or h * (r - 1) <= 2 * r
+            if h * (r - 1) <= 2 * r
         ]
-        if not pure:
-            raise InternalConsistencyError("no reduction step applies")
-        h, gamma = pure[0]
+        if not blocking:
+            return state.done(KIND_D, r + 1, "normal form u^2 v + v^%d" % r)
+        h, gamma = blocking[0]
         state.shift_v(gamma / kappa, h - 2)
 
 
@@ -306,54 +249,42 @@ def _classify_mult_two(state: _State) -> GermClassification:
 
 def _classify_mult_three(state: _State) -> GermClassification:
     f = state.f
-    cubic = [
+    a0, a1, a2, a3 = (
         f.coefficient("t", i).coefficient("y", 3 - i).constant_term()
         for i in range(4)
-    ]
-    top = max(i for i in range(4) if cubic[i] != 0)
-    q = _trimmed(cubic[: top + 1])
-
-    # Root pattern of the cubic form: the line v = 0 carries multiplicity
-    # 3 - top, the rest follows the univariate polynomial q.
-    if top == 3:
-        g1 = _poly_gcd(q, _derivative(q))
-        squares = len(g1) - 1
-    elif top == 2:
-        squares = 0 if q[1] * q[1] - 4 * q[2] * q[0] != 0 else 1
-    else:
-        squares = None  # v-multiplicity 3 - top >= 2 dominates
-
-    if (top == 3 and squares == 0) or (top == 2 and squares == 0):
+    )
+    # The cubic part a3 u^3 + a2 u^2 v + a1 u v^2 + a0 v^3 has the Hessian
+    # h2 u^2 + h1 u v + h0 v^2 (up to a constant), and h1^2 - 4 h2 h0 is -3
+    # times its discriminant.  The Hessian of a cube vanishes; that of a
+    # cubic with a double line l1 is a nonzero multiple of l1^2.
+    h2 = a2 * a2 - 3 * a3 * a1
+    h1 = a2 * a1 - 9 * a3 * a0
+    h0 = a1 * a1 - 3 * a2 * a0
+    if h1 * h1 != 4 * h2 * h0:
         return state.done(KIND_D, 4, "three distinct tangent lines")
 
-    if top == 1 or (top == 2 and squares == 1) or (top == 3 and squares == 1):
-        # Double line l1, simple line l2; move l1 to u = 0 and l2 to v = 0.
-        if top == 1:
-            l1, l2 = (Fraction(0), Fraction(1)), (q[1], q[0])
-            kappa = Fraction(1)
-        elif top == 2:
-            root = -q[1] / (2 * q[2])
-            l1, l2 = (Fraction(1), -root), (Fraction(0), Fraction(1))
-            kappa = q[2]
-        else:
-            root = -g1[0]
-            rest = _deflate(_deflate(q, root), root)
-            simple = -rest[0] / rest[1]
-            l1, l2 = (Fraction(1), -root), (Fraction(1), -simple)
-            kappa = q[3]
-        det = l1[0] * l2[1] - l1[1] * l2[0]
-        state.linear(l2[1] / det, -l1[1] / det, -l2[0] / det, l1[0] / det)
-        return _d_chain(state, kappa)
+    if h2 == h1 == h0 == 0:
+        # Triple line: move it to u = 0 so the cubic part becomes lam * u^3.
+        if a3 == 0:
+            state.linear(0, 1, 1, 0)
+            return _e_chain(state, a0)
+        state.linear(1, -a2 / (3 * a3), 0, 1)
+        return _e_chain(state, a3)
 
-    # Triple line: move it to u = 0 so the cubic part becomes lam * u^3.
-    if top == 0:
-        state.linear(0, 1, 1, 0)
-        lam = q[0]
+    # Double line l1, simple line l2, each as (coefficient of u, of v);
+    # the cubic part is kappa * l1^2 * l2.  Move l1 to u = 0, l2 to v = 0.
+    if h2 == 0:
+        l1, l2, kappa = (0, 1), (a1, a0), 1
     else:
-        root = -g1[1] / 2
-        state.linear(Fraction(1), root, Fraction(0), Fraction(1))
-        lam = q[3]
-    return _e_chain(state, lam)
+        r = -h1 / (2 * h2)
+        l1 = (1, -r)
+        if a3 == 0:
+            l2, kappa = (0, 1), a2
+        else:
+            l2, kappa = (1, a2 / a3 + 2 * r), a3
+    det = l1[0] * l2[1] - l1[1] * l2[0]
+    state.linear(l2[1] / det, -l1[1] / det, -l2[0] / det, l1[0] / det)
+    return _d_chain(state, kappa)
 
 
 def default_step_budget(f: SparsePoly) -> int:

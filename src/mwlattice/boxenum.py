@@ -140,21 +140,43 @@ def _box_fits_int64(gram, radii, tn, td) -> bool:
     return td * worst < _INT64_NORM_LIMIT and abs(tn) < _INT64_NORM_LIMIT
 
 
+def _check_positive_definite(gram) -> None:
+    """Raise FormError unless the integer matrix G is symmetric positive definite.
+
+    Sylvester's criterion: one forward fraction-free (Bareiss) elimination
+    without row swaps, whose k-th pivot is the k-th leading principal minor,
+    so every pivot must be positive.
+    """
+    n = len(gram)
+    if any(len(row) != n for row in gram):
+        raise FormError("Gram matrix must be square")
+    if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
+        raise FormError("Gram matrix must be symmetric")
+    a = [list(row) for row in gram]
+    prev = 1
+    for k in range(n):
+        p = a[k][k]
+        if p <= 0:
+            raise FormError("form is not positive definite")
+        pivot_row = a[k]
+        for i in range(k + 1, n):
+            f = a[i][k]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+
+
 def _box_radii(gram: Sequence[Sequence], bound) -> list[int]:
     """Radii floor(sqrt(bound * (G^-1)_ii)) of the box holding every short vector.
 
-    Raises FormError when G is singular or visibly not positive definite.
+    Raises FormError unless G is symmetric positive definite.
     """
-    gram = mx.mat(gram)
-    bound = Fraction(bound)
-    try:
-        inv = mx.inverse(gram)
-    except ValueError as exc:
-        raise FormError("Gram matrix is singular") from exc
+    int_gram, scale = mx.as_integer_matrix(mx.mat(gram))
+    _check_positive_definite(int_gram)
+    inv = mx.inverse(int_gram)
+    # G = int_gram / scale, so bound * G^-1 = bound * scale * int_gram^-1.
+    bound = Fraction(bound) * scale
     radii = []
-    for i in range(len(gram)):
-        if inv[i][i] <= 0 or gram[i][i] <= 0:
-            raise FormError("form is not positive definite")
+    for i in range(len(int_gram)):
         # floor(sqrt(q)) = isqrt(floor(q)) for rational q >= 0.
         q = bound * inv[i][i]
         radii.append(isqrt(q.numerator // q.denominator))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InputFormatError
+from .errors import InputFormatError, MWLatticeError
 from .pencil import DoubleCoverCoefficients, PencilCoefficients
 from .poly import SparsePoly
 
@@ -96,7 +96,7 @@ def pencil_coefficients_from_json(obj) -> PencilCoefficients:
         coeffs[(i, j)] = frac_from_json(raw)
     try:
         return PencilCoefficients.from_map(g, coeffs)
-    except Exception as exc:
+    except MWLatticeError as exc:
         raise InputFormatError("invalid coefficients: %s" % exc) from None
 
 

@@ -123,6 +123,40 @@ def test_classification_details():
     assert out.detail == "zero germ"
 
 
+TANGENT_CONE_CASES = [
+    # three distinct lines
+    (U * V * (U + V), "D(4)", (), "three distinct tangent lines"),
+    # double line u - v, simple line u + 2v (u^3 coefficient nonzero)
+    ((U - V) ** 2 * (U + 2 * V) + V ** 5, "D(6)",
+     ("u, v -> (2/3) u + (1/3) v, (-1/3) u + (1/3) v",), "normal form u^2 v + v^5"),
+    # double line u - 2v, simple line v (no u^3 term)
+    (V * (U - 2 * V) ** 2 + V ** 5, "D(6)",
+     ("u, v -> (1) u + (2) v, (0) u + (1) v",), "normal form u^2 v + v^5"),
+    # double line v, simple line u + v (no u^3 or u^2 v term)
+    (V * V * (U + V) + U ** 4, "D(5)",
+     ("u, v -> (-1) u + (1) v, (1) u + (0) v",), "normal form u^2 v + v^4"),
+    # triple line u - 2v
+    ((U - 2 * V) ** 3 + V ** 4, "E(6)",
+     ("u, v -> (1) u + (2) v, (0) u + (1) v",), "normal form u^3 + v^4"),
+    # triple line v
+    (V ** 3 + U ** 4, "E(6)",
+     ("u, v -> (0) u + (1) v, (1) u + (0) v",), "normal form u^3 + v^4"),
+]
+
+
+@pytest.mark.parametrize(
+    "germ,label,changes,detail",
+    TANGENT_CONE_CASES,
+    ids=["%s/%d" % (case[1], i) for i, case in enumerate(TANGENT_CONE_CASES)],
+)
+def test_tangent_cone_audit_trail(germ, label, changes, detail):
+    # every branch of the multiplicity-3 decision, with its exact line change
+    out = classify_ade_germ(germ)
+    assert out.label == label
+    assert out.coordinate_changes == changes
+    assert out.detail == detail
+
+
 def test_budget_exhaustion():
     out = classify_ade_germ(U * U + U * V ** 3, max_steps=0)
     assert out.kind == "Unresolved"

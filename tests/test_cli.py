@@ -112,6 +112,23 @@ def test_exit2_schema_violation(capsys, tmp_path):
     assert "bad scenario file" in err
 
 
+@pytest.mark.parametrize("where", ["genus", "fiber"])
+def test_exit2_json_boolean(capsys, tmp_path, where):
+    # true == 1 in Python, so this document would otherwise run as g = 1
+    doc = scenario_to_json(scenario_trivial_mw(1))
+    if where == "genus":
+        doc["genus"] = True
+    else:
+        doc["fiber"][0] = bool(doc["fiber"][0])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "mw", "--scenario", str(path))
+    assert code == 2
+    assert out == ""
+    assert "bad scenario file" in err
+    assert "Traceback" not in err
+
+
 def test_exit2_builtin_needs_genus(capsys):
     code, _, err = run(capsys, "mw", "--trivial-scenario")
     assert code == 2

@@ -209,6 +209,29 @@ def test_box_rejects_bad_forms():
     assert box_short_vectors(((2,),), -1) == ()
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "gram,message",
+    [
+        # positive diagonal, but not a Gram matrix
+        (((2, 1), (0, 2)), "symmetric"),
+        # eigenvalues 3, 3, -3 with every diagonal entry and every (G^-1)_ii
+        # positive; (1, -1, 0) has norm -2
+        (((1, 2, -2), (2, 1, 2), (-2, 2, 1)), "positive definite"),
+        (((2, 1, 0), (1, 2, 0)), "square"),
+    ],
+)
+def test_box_precondition_matches_search(gram, message, backend):
+    set_backend(backend)
+    with pytest.raises(FormError, match=message):
+        box_short_vectors(gram, 2)
+    with pytest.raises(FormError, match=message):
+        brute_force_short_vectors(gram, 2)
+    if len(gram) == len(gram[0]):
+        with pytest.raises(FormError):
+            short_vectors(gram, 2)
+
+
 def test_set_backend_validation():
     with pytest.raises(ValueError):
         set_backend("fortran")

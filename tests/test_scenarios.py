@@ -226,6 +226,11 @@ def test_json_rejects_malformed():
         lambda d: d.update(name=42),
         lambda d: d.pop("fiber"),
         lambda d: d.update(genus="one"),
+        lambda d: d.update(genus=True),
+        lambda d: d.update(degree=False),
+        lambda d: d["fiber"].__setitem__(0, True),
+        lambda d: d["sections"][0].__setitem__(1, False),
+        lambda d: d["fibers"][0]["components"][0].__setitem__(0, True),
         lambda d: d.update(sections=[]),
         lambda d: d.update(sections=[[1, 2]]),
         lambda d: d["fibers"][0].update(components=[]),

@@ -130,6 +130,16 @@ def test_pencil_coefficients_from_json_rejections():
         )
 
 
+def test_pencil_coefficients_from_json_raises_programming_errors(monkeypatch):
+    # only MWLatticeError is bad data; a TypeError is a bug and must surface
+    def broken(g, coeffs):
+        raise TypeError("broken constructor")
+
+    monkeypatch.setattr(PencilCoefficients, "from_map", broken)
+    with pytest.raises(TypeError, match="broken constructor"):
+        pencil_coefficients_from_json({"genus": 1, "c": {"2,0": 1, "0,1": 1}})
+
+
 def test_double_cover_to_json():
     pc = PencilCoefficients.from_map(1, {(2, 0): 1, (0, 1): 1, (1, 1): 1})
     doc = double_cover_to_json(pencil_to_double_cover(pc))
