@@ -12,9 +12,9 @@ until the u-free tail dominates.  Multiplicity 3 reads the tangent lines
 off the Hessian of the cubic part, a binary quadratic with -3 times the
 cubic's discriminant: if that is nonzero the three lines are distinct,
 D(4); a vanishing Hessian marks a triple line, which leads to the
-E-decision governed by the orders of the u-linear and u-free tails, with
-u^2-tail terms absorbed as needed; otherwise the Hessian's double root is
-the double line, which leads to the D-chain around the normal form
+E-decision, read off the orders of the u-linear and u-free tails without
+any further coordinate change; otherwise the Hessian's double root is the
+double line, which leads to the D-chain around the normal form
 u^2 v + v^{k-1}.  Multiplicity 4 or more is never simple.  Negligibility
 of remaining terms is decided by the weights of the candidate normal
 form, so every verdict is exact.
@@ -206,30 +206,25 @@ def _d_chain(state: _State, kappa: Fraction) -> GermClassification:
         state.shift_v(gamma / kappa, h - 2)
 
 
-def _e_chain(state: _State, lam: Fraction) -> GermClassification:
+def _e_chain(state: _State) -> GermClassification:
     """Cubic part is now lam * u^3; decide E(6)/E(7)/E(8) or reject.
 
-    The u-free order r_C and u-linear order r_B determine the type once
-    the u^2-tail is out of the way: r_C = 4 gives E(6); r_B = 3 with
-    r_C >= 5 gives E(7); r_C = 5 with r_B >= 4 gives E(8); anything
-    deeper is not simple.
+    The u-free order r_C >= 4 and the u-linear order r_B >= 3 decide:
+    r_C = 4 gives E(6); r_B = 3 with r_C >= 5 gives E(7); r_C = 5 with
+    r_B >= 4 gives E(8).  Otherwise r_C >= 6 and r_B >= 4, and the u^2-tail
+    starts at u^2 v^2, so every term has weight at least 6 for the weights
+    (2, 1) of (u, v): the germ is J10 or worse, not simple.  No coordinate
+    change u -> u - s v^j (j >= 2) lowers those weights, so none is made.
     """
-    while True:
-        r_c = _order(_u_part(state.f, 0))
-        r_b = _order(_u_part(state.f, 1))
-        if r_c == 4:
-            return state.done(KIND_E, 6, "normal form u^3 + v^4")
-        if r_b == 3 and (r_c is None or r_c >= 5):
-            return state.done(KIND_E, 7, "normal form u^3 + u v^3")
-        if r_c == 5 and (r_b is None or r_b >= 4):
-            return state.done(KIND_E, 8, "normal form u^3 + v^5")
-        quad_tail = _u_part(state.f, 2)
-        if quad_tail.is_zero():
-            return state.done(
-                KIND_NOT_SIMPLE, None, "tails vanish past the E(8) range"
-            )
-        j, coef = _lowest(quad_tail)
-        state.shift_u(coef / (3 * lam), j)
+    r_c = _order(_u_part(state.f, 0))
+    r_b = _order(_u_part(state.f, 1))
+    if r_c == 4:
+        return state.done(KIND_E, 6, "normal form u^3 + v^4")
+    if r_b == 3 and (r_c is None or r_c >= 5):
+        return state.done(KIND_E, 7, "normal form u^3 + u v^3")
+    if r_c == 5 and (r_b is None or r_b >= 4):
+        return state.done(KIND_E, 8, "normal form u^3 + v^5")
+    return state.done(KIND_NOT_SIMPLE, None, "tails vanish past the E(8) range")
 
 
 def _classify_mult_two(state: _State) -> GermClassification:
@@ -267,9 +262,9 @@ def _classify_mult_three(state: _State) -> GermClassification:
         # Triple line: move it to u = 0 so the cubic part becomes lam * u^3.
         if a3 == 0:
             state.linear(0, 1, 1, 0)
-            return _e_chain(state, a0)
-        state.linear(1, -a2 / (3 * a3), 0, 1)
-        return _e_chain(state, a3)
+        else:
+            state.linear(1, -a2 / (3 * a3), 0, 1)
+        return _e_chain(state)
 
     # Double line l1, simple line l2, each as (coefficient of u, of v);
     # the cubic part is kappa * l1^2 * l2.  Move l1 to u = 0, l2 to v = 0.

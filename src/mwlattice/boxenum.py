@@ -8,6 +8,9 @@ and bound b, every vector v with v G v^T <= b satisfies
 
 (Cauchy-Schwarz against the dual basis), so enumerating the integer box
 with those radii and filtering by the exact norm is a complete search.
+The set-up runs once per call: the Gram matrix is scaled to integers once,
+and one fraction-free elimination checks that it is positive definite and
+gives the radii (see :func:`_box_radii`); no rational inverse is built.
 
 Two interchangeable backends exist:
 
@@ -140,47 +143,38 @@ def _box_fits_int64(gram, radii, tn, td) -> bool:
     return td * worst < _INT64_NORM_LIMIT and abs(tn) < _INT64_NORM_LIMIT
 
 
-def _check_positive_definite(gram) -> None:
-    """Raise FormError unless the integer matrix G is symmetric positive definite.
+def _box_radii(int_gram: Sequence[Sequence[int]], threshold) -> list[int]:
+    """Radii floor(sqrt(threshold * (G^-1)_ii)) of the box holding every short vector.
 
-    Sylvester's criterion: one forward fraction-free (Bareiss) elimination
-    without row swaps, whose k-th pivot is the k-th leading principal minor,
-    so every pivot must be positive.
+    G is an integer Gram matrix and ``threshold`` the norm bound for it.
+    One fraction-free (Bareiss) Gauss-Jordan elimination of (G | I) without
+    row swaps does all the work.  Its k-th pivot is the k-th leading
+    principal minor, so by Sylvester's criterion every pivot must be
+    positive; it ends at (d I | adj G) with d = det G, so the diagonal of
+    the right block gives (G^-1)_ii = adj_ii / d.  Raises FormError unless
+    G is square, symmetric and positive definite.
     """
-    n = len(gram)
-    if any(len(row) != n for row in gram):
+    n = len(int_gram)
+    if any(len(row) != n for row in int_gram):
         raise FormError("Gram matrix must be square")
-    if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
+    if any(int_gram[i][j] != int_gram[j][i] for i in range(n) for j in range(i)):
         raise FormError("Gram matrix must be symmetric")
-    a = [list(row) for row in gram]
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(int_gram)]
     prev = 1
     for k in range(n):
         p = a[k][k]
         if p <= 0:
             raise FormError("form is not positive definite")
         pivot_row = a[k]
-        for i in range(k + 1, n):
-            f = a[i][k]
-            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
         prev = p
-
-
-def _box_radii(gram: Sequence[Sequence], bound) -> list[int]:
-    """Radii floor(sqrt(bound * (G^-1)_ii)) of the box holding every short vector.
-
-    Raises FormError unless G is symmetric positive definite.
-    """
-    int_gram, scale = mx.as_integer_matrix(mx.mat(gram))
-    _check_positive_definite(int_gram)
-    inv = mx.inverse(int_gram)
-    # G = int_gram / scale, so bound * G^-1 = bound * scale * int_gram^-1.
-    bound = Fraction(bound) * scale
-    radii = []
-    for i in range(len(int_gram)):
-        # floor(sqrt(q)) = isqrt(floor(q)) for rational q >= 0.
-        q = bound * inv[i][i]
-        radii.append(isqrt(q.numerator // q.denominator))
-    return radii
+    threshold = Fraction(threshold)
+    # floor(sqrt(q)) = isqrt(floor(q)) for rational q >= 0.
+    tn, td = threshold.numerator, threshold.denominator * prev
+    return [isqrt(tn * a[i][n + i] // td) for i in range(n)]
 
 
 def box_short_vectors(gram: Sequence[Sequence], bound) -> tuple[tuple[int, ...], ...]:
@@ -194,13 +188,13 @@ def box_short_vectors(gram: Sequence[Sequence], bound) -> tuple[tuple[int, ...],
     bound = Fraction(bound)
     if not gram or bound < 0:
         return ()
-    radii = _box_radii(gram, bound)
     int_gram, scale = mx.as_integer_matrix(gram)
     threshold = bound * scale
+    radii = _box_radii(int_gram, threshold)
     tn, td = threshold.numerator, threshold.denominator
 
     if _BACKEND == "numpy" and _box_fits_int64(int_gram, radii, tn, td):
         found = _enumerate_numpy(int_gram, radii, tn, td)
     else:
         found = _enumerate_python(int_gram, radii, tn, td)
-    return tuple(sorted(tuple(v) for v in found))
+    return tuple(sorted(found))

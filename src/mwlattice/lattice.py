@@ -270,25 +270,22 @@ def vector_norms(gram, vectors):
 
 
 def size_reduce(gram):
-    """Greedy pairwise reduction of a Gram matrix.
+    """Greedy pairwise reduction of a symmetric Gram matrix.
 
     Returns (reduced_gram, transform) with transform unimodular and
     reduced = T G T^t.  This is plain integer size reduction (subtract
     rounded projections, reorder by norm); it changes the basis but not the
     lattice, so vector counts are preserved.  No floating point involved.
+
+    The loop runs on the Gram matrix scaled to integers: every decision it
+    takes (a quotient rounded half to even, a comparison of norms, an order
+    by norm) is the same for s G as for G, so only the reduced Gram matrix
+    is divided by the scale s at the end.
     """
-    g = [[Fraction(x) for x in row] for row in gram]
+    igram, scale = mx.as_integer_matrix(gram)
+    g = [list(row) for row in igram]
     n = len(g)
     t = [list(row) for row in mx.identity(n)]
-
-    def apply_shear(i, j, q):
-        # basis_i <- basis_i - q * basis_j
-        for k in range(n):
-            t[i][k] -= q * t[j][k]
-        for k in range(n):
-            g[i][k] -= q * g[j][k]
-        for k in range(n):
-            g[k][i] -= q * g[k][j]
 
     for _ in range(1000):
         changed = False
@@ -297,17 +294,31 @@ def size_reduce(gram):
             for j in order:
                 if i == j or g[j][j] == 0:
                     continue
-                q = round(g[i][j] / g[j][j])
-                if q != 0:
-                    before = g[i][i]
-                    apply_shear(i, j, q)
-                    if g[i][i] < before:
-                        changed = True
-                    elif g[i][i] > before:
-                        apply_shear(i, j, -q)  # undo, would grow the basis
+                q = _round_quotient(g[i][j], g[j][j])
+                # basis_i <- basis_i - q * basis_j changes g_ii by
+                # q (q g_jj - 2 g_ij); only a shear that shrinks it is made.
+                # (For q != 0 the change is never 0: that would need
+                # g_ij / g_jj = q / 2, and q / 2 does not round to q.)
+                if q * (q * g[j][j] - 2 * g[i][j]) >= 0:
+                    continue
+                t[i] = [a - q * b for a, b in zip(t[i], t[j])]
+                g[i] = [a - q * b for a, b in zip(g[i], g[j])]
+                for row in g:
+                    row[i] -= q * row[j]
+                changed = True
         if not changed:
             break
     perm = sorted(range(n), key=lambda i: (g[i][i], i))
-    g2 = tuple(tuple(g[p][qq] for qq in perm) for p in perm)
-    t2 = tuple(tuple(t[p][k] for k in range(n)) for p in perm)
+    g2 = tuple(tuple(Fraction(g[p][qq], scale) for qq in perm) for p in perm)
+    t2 = tuple(tuple(t[p]) for p in perm)
     return g2, t2
+
+
+def _round_quotient(a: int, b: int) -> int:
+    """round(a / b) for integers b != 0, half to even, as for a Fraction."""
+    if b < 0:
+        a, b = -a, -b
+    q, r = divmod(a, b)
+    if 2 * r > b or (2 * r == b and q % 2):
+        q += 1
+    return q

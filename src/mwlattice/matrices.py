@@ -73,7 +73,8 @@ def as_integer_matrix(m: Sequence[Sequence]) -> tuple[IntMatrix, int]:
     rows = tuple(tuple(row) for row in m)
     if all(type(x) is int for row in rows for x in row):
         return rows, 1
-    rows = [[Fraction(x) for x in row] for row in rows]
+    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+            for row in rows]
     den = lcm(1, *(x.denominator for row in rows for x in row))
     return tuple(tuple(x.numerator * (den // x.denominator) for x in row)
                  for row in rows), den

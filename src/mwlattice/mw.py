@@ -75,7 +75,11 @@ def mw_rank_by_formula(scenario: Scenario) -> int:
 
 @dataclass(frozen=True)
 class MWLReport:
-    """Everything the lattice side of a scenario computation produces."""
+    """Everything the lattice side of a scenario computation produces.
+
+    ``identified_as`` is the D_n^+ label or None, and
+    ``identification_reason`` says why (see :class:`LatticeIdentification`).
+    """
 
     scenario: str
     group: AbelianGroupInvariants
@@ -86,6 +90,7 @@ class MWLReport:
     discriminant: Fraction
     root_count: int
     identified_as: str | None
+    identification_reason: str
 
 
 def mwl(scenario: Scenario) -> MWLReport:
@@ -105,11 +110,11 @@ def mwl(scenario: Scenario) -> MWLReport:
         dual, c_disc = dual_gram(complement.gram())
         found = short_vectors_with_norms(dual, 2)
         root_count = sum(1 for _, nv in found if nv == 2)
-        identified = identify_dn_plus(dual, found).label
+        identification = identify_dn_plus(dual, found)
     else:
         dual, c_disc = (), Fraction(1)
         root_count = 0
-        identified = None
+        identification = LatticeIdentification(None, "rank is 0")
     discriminant = Fraction(1) / c_disc
     if group.free_rank != complement.rank:
         raise FormError(
@@ -125,7 +130,8 @@ def mwl(scenario: Scenario) -> MWLReport:
         gram=dual,
         discriminant=Fraction(discriminant),
         root_count=root_count,
-        identified_as=identified,
+        identified_as=identification.label,
+        identification_reason=identification.reason,
     )
 
 

@@ -3,8 +3,9 @@
 Each function here recomputes a result by a different route than the
 primary implementation: invariant factors via minor gcds instead of
 row reduction, short vectors via box enumeration (in the given or the
-size-reduced basis, whichever box has fewer points) instead of the
-pruned recursive search, the discriminant via its factored form
+size-reduced basis, whichever box has fewer points, with one integer
+set-up per basis and a guarded int64 map-back) instead of the pruned
+recursive search, the discriminant via its factored form
 instead of b^2 - 4ac, and the distinguished fibre Gram matrix from its
 displayed entry pattern instead of from divisor classes.  Tests and the
 verification battery compare the two routes; nothing here is used by
@@ -14,14 +15,18 @@ the primary code paths.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, prod
+
+import numpy as np
 
 from . import matrices as mx
 from .boxenum import _box_radii, box_short_vectors
 from .lattice import size_reduce
 from .pencil import PencilCoefficients
 from .poly import SparsePoly, T, Y
+
+_MAP_BACK_LIMIT = 1 << 62
 
 
 def determinant_by_expansion(m) -> int:
@@ -73,19 +78,44 @@ def brute_force_short_vectors(gram, bound):
     box of many skewed Grams but enlarges that of the maximal lattices
     D_n^+, so neither basis is always the better one.  The answer is the
     same either way.
+
+    Each candidate basis is scaled to integers and checked once, by the
+    elimination that gives its box radii, and the vectors found in the
+    reduced basis are mapped back by one matrix product (see
+    :func:`_map_back`).
     """
-    if Fraction(bound) < 0:
+    bound = Fraction(bound)
+    if bound < 0:
         return ()
     given = _box_size(gram, bound)
     reduced, transform = size_reduce(gram)
     if given <= _box_size(reduced, bound):
         return box_short_vectors(gram, bound)
-    found = box_short_vectors(reduced, bound)
-    return tuple(sorted(mx.mat_vec(mx.transpose(transform), v) for v in found))
+    return _map_back(box_short_vectors(reduced, bound), transform)
 
 
-def _box_size(gram, bound) -> int:
-    return prod(2 * r + 1 for r in _box_radii(gram, bound))
+def _box_size(gram, bound: Fraction) -> int:
+    int_gram, scale = mx.as_integer_matrix(gram)
+    return prod(2 * r + 1 for r in _box_radii(int_gram, bound * scale))
+
+
+def _map_back(found, transform) -> tuple[tuple[int, ...], ...]:
+    """The rows of found @ transform, exactly, sorted.
+
+    The product runs in int64 only when no entry can reach 2^62: every
+    entry is at most max |coordinate| times the largest column sum of
+    |transform|, and so is every partial sum.  Otherwise it runs on Python
+    integers.
+    """
+    if not found:
+        return ()
+    reach = max(map(abs, chain.from_iterable(found)))
+    reach *= max(sum(map(abs, col)) for col in zip(*transform))
+    if reach < _MAP_BACK_LIMIT:
+        rows = (np.array(found, dtype=np.int64) @ np.array(transform, dtype=np.int64)).tolist()
+    else:
+        rows = mx.matmul(found, transform)
+    return tuple(sorted(map(tuple, rows)))
 
 
 def factored_pencil_discriminant(pc: PencilCoefficients) -> SparsePoly:

@@ -8,7 +8,7 @@ there are no tolerances to configure.
 
 import pytest
 
-from mwlattice import oracles
+from mwlattice import oracles, verify
 from mwlattice.verify import check_maximal_mwl, run_all
 
 CRITERIA = (
@@ -54,3 +54,17 @@ def test_maximal_mwl_runs_the_box_oracle_at_every_model(monkeypatch):
     assert len(scanned) == 3
     for d in (0, 1, 2):
         assert "g=1 d=%d enumeration oracle disagrees" % d in result.detail
+
+
+def test_maximal_mwl_reuses_the_default_model_report(monkeypatch):
+    # g = 1: one mwl per model d = 0, 1, 2; the default d = 1 is not redone.
+    models = []
+    original = verify.mwl
+
+    def recording_mwl(scenario):
+        models.append(scenario.model.d)
+        return original(scenario)
+
+    monkeypatch.setattr(verify, "mwl", recording_mwl)
+    assert check_maximal_mwl((1,)).passed
+    assert sorted(models) == [0, 1, 2]

@@ -157,6 +157,28 @@ def test_tangent_cone_audit_trail(germ, label, changes, detail):
     assert out.detail == detail
 
 
+@pytest.mark.parametrize(
+    "germ",
+    [
+        # v^2 (27 v + u^2 v - u^2 v^2 + u^4): a repeated branch with a
+        # nonzero u^2-tail, past the E(8) range after the swap u <-> v
+        27 * V ** 3 + U ** 2 * V ** 3 + U ** 4 * V ** 2 - U ** 2 * V ** 4,
+        # J10: every term has weight 6 for the weights (2, 1)
+        U ** 3 + U * U * V * V + V ** 6,
+        (U + V) ** 3 + (U + V) ** 2 * V ** 3 - V ** 7,
+    ],
+)
+def test_triple_line_past_e8_is_not_simple(germ):
+    # No shift of the u^2-tail can bring an E type back, so the verdict
+    # comes without one, whatever the budget.
+    for max_steps in (None, 400):
+        out = classify_ade_germ(germ, max_steps=max_steps)
+        assert out.label == "NotSimple"
+        assert out.detail == "tails vanish past the E(8) range"
+        assert len(out.coordinate_changes) <= 1
+        assert not any(step.startswith("u -> ") for step in out.coordinate_changes)
+
+
 def test_budget_exhaustion():
     out = classify_ade_germ(U * U + U * V ** 3, max_steps=0)
     assert out.kind == "Unresolved"

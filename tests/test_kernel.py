@@ -1,5 +1,6 @@
 """The two enumeration backends must be indistinguishable."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -106,6 +107,92 @@ def test_oracle_scans_the_smaller_box(monkeypatch):
         scanned.clear()
         assert brute_force_short_vectors(gram, 2) == short_vectors(gram, 2)
         assert scanned == [scan]
+
+
+def _skewed_grams():
+    # Grams whose size-reduced box is the smaller one, so the oracle scans
+    # the reduced basis and maps its vectors back.
+    catalog = {entry.name: entry.scenario for entry in build_catalog()}
+    yield mwl(catalog["g1-cycle2"]).gram
+    rng = random.Random(47)
+    while True:
+        n = rng.randint(2, 4)
+        t = mx.identity(n)
+        for _ in range(6):
+            i, j = rng.sample(range(n), 2)
+            t = tuple(tuple(x - 2 * y for x, y in zip(row, t[j])) if k == i else row
+                      for k, row in enumerate(t))
+        gram = mx.matmul(mx.matmul(t, _random_gram(rng, n)), mx.transpose(t))
+        if oracles._box_size(size_reduce(gram)[0], 3) < oracles._box_size(gram, 3):
+            yield gram
+
+
+def _counting(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append((name, args[0]))
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("limit", [oracles._MAP_BACK_LIMIT, 0])
+def test_oracle_maps_back_exactly(monkeypatch, limit):
+    # With the guard's limit at 0 the map-back must run on Python integers:
+    # numpy is out of reach of the oracle module then.
+    monkeypatch.setattr(oracles, "_MAP_BACK_LIMIT", limit)
+    if limit == 0:
+        monkeypatch.setattr(oracles, "np", None)
+    calls = []
+    _counting(monkeypatch, oracles, "box_short_vectors", calls)
+    for gram in itertools.islice(_skewed_grams(), 12):
+        calls.clear()
+        bound = 2 if len(gram) > 4 else 3
+        assert brute_force_short_vectors(gram, bound) == short_vectors(gram, bound)
+        assert calls == [("box_short_vectors", size_reduce(gram)[0])]
+
+
+@pytest.mark.parametrize(
+    "found,transform",
+    [
+        # a huge transform entry
+        (((0, 1), (1, 0)), ((1, 1 << 70), (0, 1))),
+        # small transform, large coordinates: 2^40 * 2^30
+        ((((1 << 40), 1),), ((1 << 30, 1), (0, 1))),
+        # entries of 2^61 whose column sum 2^63 overflows int64
+        (((1, 1, 1, 1),), tuple((1 << 61, 0) for _ in range(4))),
+    ],
+)
+def test_map_back_beyond_int64(found, transform):
+    expected = tuple(sorted(mx.matmul(found, transform)))
+    assert oracles._map_back(found, transform) == expected
+    assert oracles._map_back((), transform) == ()
+
+
+@pytest.mark.parametrize("given_wins", [True, False])
+def test_oracle_sets_up_once(monkeypatch, given_wins):
+    # One size_reduce and one box scan per oracle call, both through module
+    # attributes, so a tracer that replaces them sees every call.
+    catalog = {entry.name: entry.scenario for entry in build_catalog()}
+    gram = mwl(scenario_all_irreducible(1, 1) if given_wins else catalog["g1-cycle2"]).gram
+    calls = []
+    _counting(monkeypatch, oracles, "size_reduce", calls)
+    _counting(monkeypatch, oracles, "box_short_vectors", calls)
+    brute_force_short_vectors(gram, 2)
+    scanned = gram if given_wins else size_reduce(gram)[0]
+    assert calls == [("size_reduce", gram), ("box_short_vectors", scanned)]
+
+
+def test_box_radii_match_the_inverse():
+    rng = random.Random(53)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        gram = _random_gram(rng, n)
+        threshold = Fraction(rng.randint(0, 40), rng.randint(1, 7))
+        inv = mx.inverse(gram)
+        expected = [math.isqrt(math.floor(threshold * inv[i][i])) for i in range(n)]
+        assert _box_radii(gram, threshold) == expected
 
 
 def _numpy_matches_python(monkeypatch, gram, bound):

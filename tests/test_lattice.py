@@ -12,6 +12,7 @@ from mwlattice.boxenum import box_short_vectors
 from mwlattice.errors import FormError
 from mwlattice.lattice import (
     AbelianGroupInvariants,
+    _round_quotient,
     IntegerLattice,
     cokernel_invariants,
     dual_gram,
@@ -199,6 +200,47 @@ def test_size_reduce_preserves_lattice():
         # same vector counts at a small bound
         bound = min(reduced[i][i] for i in range(n))
         assert len(short_vectors(gram, bound)) == len(short_vectors(reduced, bound))
+
+
+def test_size_reduce_is_scale_invariant():
+    # The loop runs on the Gram matrix scaled to integers, so scaling the
+    # input by k > 0 keeps every decision: same transform, k times the Gram.
+    rng = random.Random(29)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        b = None
+        while b is None or mx.det(b) == 0:
+            b = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n))
+        gram = mx.matmul(b, mx.transpose(b))
+        if rng.random() < 0.5:
+            gram = tuple(tuple(Fraction(x, rng.randint(1, 6)) for x in row) for row in gram)
+            gram = tuple(tuple(gram[max(i, j)][min(i, j)] for j in range(n)) for i in range(n))
+        k = rng.choice([rng.randint(2, 9), Fraction(rng.randint(1, 9), rng.randint(2, 9))])
+        reduced, t = size_reduce(gram)
+        scaled, t_scaled = size_reduce(tuple(tuple(k * x for x in row) for row in gram))
+        assert t_scaled == t
+        assert scaled == tuple(tuple(k * x for x in row) for row in reduced)
+        assert all(type(x) is Fraction for row in scaled for x in row)
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4, 7, -1, -2, -4])
+def test_round_quotient_is_round_half_even(b):
+    for a in range(-20, 21):
+        assert _round_quotient(a, b) == round(Fraction(a, b)), (a, b)
+
+
+@pytest.mark.parametrize(
+    "gram,transform,reduced",
+    [
+        # <b0, b1> / <b1, b1> = 1/2 rounds to 0: no shear (b0 - b1 would
+        # have the same norm 3 anyway).
+        (((3, 1), (1, 2)), ((0, 1), (1, 0)), ((2, 1), (1, 3))),
+        # 3/2 rounds to 2, then -1/2 to 0: b0 - 2 b1 has norm 3.
+        (((7, 3), (3, 2)), ((0, 1), (1, -2)), ((2, -1), (-1, 3))),
+    ],
+)
+def test_size_reduce_rounds_half_to_even(gram, transform, reduced):
+    assert size_reduce(gram) == (reduced, transform)
 
 
 def test_as_integer_gram():

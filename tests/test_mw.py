@@ -112,6 +112,23 @@ def test_mwl_maximal_reports_beyond_catalog(g, roots, label):
     assert report.identified_as == label
 
 
+@pytest.mark.parametrize(
+    "name,reason",
+    [
+        ("trivial-mw-g1", "rank is 0"),
+        ("all-irreducible-g1", "240 roots spanning everything"),
+        ("all-irreducible-g2", "264 roots of index-2 span"),
+        ("g2-cycle5", "Gram matrix is not integral"),
+    ],
+)
+def test_mwl_reports_why_identification_failed_or_held(name, reason):
+    report = mwl(catalog_entry(name).scenario)
+    assert report.identification_reason == reason
+    expected = identify_dn_plus(report.gram)
+    assert (report.identified_as, report.identification_reason) == (
+        expected.label, expected.reason)
+
+
 def test_mwl_degenerate_complement_raises():
     # with Delta as zero section, T = <Delta, F> and F.F = F.Delta = 0, so
     # F lies in the complement of T and its Gram matrix is singular
