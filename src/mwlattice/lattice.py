@@ -2,9 +2,9 @@
 
 An :class:`IntegerLattice` is a free subgroup of Z^N given by basis rows,
 together with the Gram matrix of the ambient form.  Everything is exact:
-determinants are integers or rationals, short vectors come from a
-Fincke-Pohst search run on Python integers, and quotient groups are read
-off Smith normal forms.
+determinants are integers or rationals, short vectors come from an
+integer Fincke-Pohst search, and quotient groups are read off Smith normal
+forms.
 
 The search scales a rational Gram matrix to integers once and factors it
 fraction-free (Bareiss): the leading principal minors D_0 = 1, D_1, ..., D_n
@@ -14,8 +14,15 @@ r_ij = N_ij / D_{i+1}, so that with L = lcm_i(D_i D_{i+1})
     L * x G x^T = sum_i c_i (x_i D_{i+1} + sum_{j>i} N_ij x_j)^2,
     c_i = L / (D_i D_{i+1}),
 
-a sum of integer squares with integer weights.  The recursion then needs
-only integer square roots.
+a sum of integer squares with integer weights.  The search then needs only
+integer square roots.  It runs level by level, i = n-1 down to 0, on a
+frontier of partial vectors (x_{i+1}, ..., x_{n-1}) and their remaining
+integer budgets: one array step per level gives each partial vector its
+admissible x_i and so builds the next frontier.  The arrays are int64
+while a guard, worked out in exact integers before each level from the
+LDL data, the budget and the frontier's largest coordinates, proves that
+no intermediate of that level reaches 2^62; from the first level it
+cannot, the same loop runs on Python integers.
 """
 
 from __future__ import annotations
@@ -25,8 +32,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from . import matrices as mx
 from .errors import FormError
+
+_INT64_LIMIT = 1 << 62
+_isqrt = np.frompyfunc(math.isqrt, 1, 1)
+
+
+def _isqrt64(q):
+    """floor(sqrt(q)) of an int64 array whose entries are below 2^62.
+
+    Rounding to float64 and the square root are monotone and correctly
+    rounded, and sqrt(float(k^2)) = k for every k < 2^31; so the float root
+    of q is never below the true root k and, as q < (k + 1)^2, at most k + 1.
+    One step down corrects it.
+    """
+    m = np.sqrt(q).astype(np.int64)
+    m -= m * m > q
+    return m
 
 
 @dataclass(frozen=True)
@@ -210,16 +235,40 @@ def short_vectors_with_norms(obj, bound) -> tuple[tuple[tuple[int, ...], Fractio
 
     ``obj`` may be an IntegerLattice or a positive definite Gram matrix
     (integer or rational entries).  Pairs are sorted lexicographically by
-    vector and closed under negation.  The Fincke-Pohst recursion runs on
-    integers only (see the module docstring); the leaf's remaining budget
-    gives ``v G v^T`` exactly, so each norm comes free with its vector.
+    vector and closed under negation.  The level-wise Fincke-Pohst search
+    (see the module docstring) runs in int64 while its guard proves that
+    no intermediate reaches 2^62, and on Python integers from the first
+    level where it cannot; a vector's remaining budget gives ``v G v^T``
+    exactly, so each norm comes free with its vector, as one Fraction per
+    distinct norm.
     Raises FormError when the form is not positive definite.
+    """
+    vectors, remaining, top, unit = _search(obj, bound)
+    norms = {r: Fraction(top - r, unit) for r in set(remaining)}
+    return tuple(zip(vectors, map(norms.__getitem__, remaining)))
+
+
+def short_vectors(obj, bound) -> tuple[tuple[int, ...], ...]:
+    """All nonzero vectors of norm <= bound, in basis coordinates.
+
+    Same search and order as :func:`short_vectors_with_norms`, vectors
+    only: no norm is built.
+    """
+    return _search(obj, bound)[0]
+
+
+def _search(obj, bound):
+    """Level-wise Fincke-Pohst search for the nonzero vectors of norm <= bound.
+
+    Returns (vectors, remaining, top, unit): the vectors as sorted tuples of
+    Python integers, the remaining integer budget of each, and the integers
+    with norm(v) = (top - remaining) / unit.
     """
     gram = obj.gram() if isinstance(obj, IntegerLattice) else mx.mat(obj)
     bound = Fraction(bound)
     n = len(gram)
     if n == 0 or bound < 0:
-        return ()
+        return (), [], 0, 1
     igram, scale = mx.as_integer_matrix(gram)
     minors, num = _bareiss_ldl(igram)
     weight = math.lcm(*(minors[i] * minors[i + 1] for i in range(n)))
@@ -227,38 +276,55 @@ def short_vectors_with_norms(obj, bound) -> tuple[tuple[tuple[int, ...], Fractio
     # x G x^T <= bound  <=>  weight * x igram x^T <= top, both sides integers.
     unit = weight * scale
     top = bound.numerator * unit // bound.denominator
-    results: list[tuple[tuple[int, ...], Fraction]] = []
-    x = [0] * n
+    # The frontier: one row of ``xs`` per partial vector (x_{i+1}, ...,
+    # x_{n-1} set, the rest 0) and its remaining budget.  It widens to
+    # Python integers, for good, at the first level its guard rejects.
+    wide = top >= _INT64_LIMIT
+    xs = np.zeros((1, n), dtype=object if wide else np.int64)
+    rem = np.array([top], dtype=xs.dtype)
+    colmax: list[int] = []  # max |x_j| for j > i, as column j was set
+    for i in range(n - 1, -1, -1):
+        ci, piv, row = c[i], minors[i + 1], num[i][i + 1:]
+        if not wide and _level_reach(top, ci, piv, row, colmax) >= _INT64_LIMIT:
+            wide = True
+            xs, rem = xs.astype(object), rem.astype(object)
+        s = xs[:, i + 1:] @ np.array(row, dtype=xs.dtype)
+        # |x_i D_{i+1} + s| <= m  with  m = floor(sqrt(rem / c_i)).
+        m = (_isqrt if wide else _isqrt64)(rem // ci)
+        lo = -((m + s) // piv)
+        counts = ((m - s) // piv + 1 - lo).astype(np.intp)
+        # Row k has the children x_i = lo_k, lo_k + 1, ...: new row j, in
+        # the block of its parent k that starts at start_k, has
+        # x_i = lo_k + j - start_k.
+        parent = np.repeat(np.arange(len(xs)), counts)
+        xi = np.arange(len(parent)) + (lo - (np.cumsum(counts) - counts))[parent]
+        t = xi * piv + s[parent]
+        rem = rem[parent] - ci * t * t
+        xs = xs[parent]
+        xs[:, i] = xi
+        colmax.insert(0, int(abs(xi).max()))
+    nonzero = xs.any(axis=1)
+    xs, rem = xs[nonzero], rem[nonzero]
+    # For distinct integer rows, lexsort on the columns (the first one
+    # primary) is tuple order.
+    order = np.lexsort(xs.T[::-1])
+    return tuple(map(tuple, xs[order].tolist())), rem[order].tolist(), top, unit
 
-    def descend(i: int, remaining: int):
-        if i < 0:
-            if any(x):
-                results.append((tuple(x), Fraction(top - remaining, unit)))
-            return
-        row = num[i]
-        s = 0
-        for j in range(i + 1, n):
-            if x[j]:
-                s += row[j] * x[j]
-        ci, piv = c[i], minors[i + 1]
-        # |x_i D_{i+1} + s| <= m  with  m = floor(sqrt(remaining / c_i)).
-        m = math.isqrt(remaining // ci)
-        for xi in range(-((m + s) // piv), (m - s) // piv + 1):
-            x[i] = xi
-            t = xi * piv + s
-            descend(i - 1, remaining - ci * t * t)
-        x[i] = 0
 
-    descend(n - 1, top)
-    return tuple(sorted(results))
+def _level_reach(top, ci, piv, row, colmax) -> int:
+    """Bound on every magnitude one int64 level of the search computes.
 
-
-def short_vectors(obj, bound) -> tuple[tuple[int, ...], ...]:
-    """All nonzero vectors of norm <= bound, in basis coordinates.
-
-    Same search and order as :func:`short_vectors_with_norms`, vectors only.
+    ``colmax`` bounds the frontier's set coordinates |x_j| and ``row``
+    holds the N_ij (j > i) they meet.  With S = sum_j colmax_j |N_ij| and
+    M = isqrt(top // c_i): |s| and its partial sums are <= S, m <= M,
+    |m +- s| and |x_i D_{i+1}| <= M + S, |t| <= M, |c_i t| <= c_i M,
+    c_i t^2 and every budget are <= top, and D_{i+1}, c_i and N_ij are
+    operands themselves.  Below the limit 2^62, a sum of two such terms,
+    as in the child count hi + 1 - lo, still fits in int64.
     """
-    return tuple(v for v, _ in short_vectors_with_norms(obj, bound))
+    s = sum(a * abs(b) for a, b in zip(colmax, row))
+    m = math.isqrt(top // ci)
+    return max(top, piv, ci * max(m, 1), max(map(abs, row), default=0), m + s)
 
 
 def vector_norms(gram, vectors):

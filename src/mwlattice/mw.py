@@ -108,14 +108,14 @@ def mwl(scenario: Scenario) -> MWLReport:
     complement = orthogonal_complement(t_neg)
     if complement.rank:
         dual, c_disc = dual_gram(complement.gram())
+        discriminant = Fraction(1) / c_disc
         found = short_vectors_with_norms(dual, 2)
         root_count = sum(1 for _, nv in found if nv == 2)
-        identification = identify_dn_plus(dual, found)
+        identification = _identify_dn_plus(dual, found, discriminant)
     else:
-        dual, c_disc = (), Fraction(1)
+        dual, discriminant = (), Fraction(1)
         root_count = 0
         identification = LatticeIdentification(None, "rank is 0")
-    discriminant = Fraction(1) / c_disc
     if group.free_rank != complement.rank:
         raise FormError(
             "complement rank %d does not match Mordell-Weil rank %d"
@@ -160,6 +160,11 @@ def identify_dn_plus(gram, found=None) -> LatticeIdentification:
     ``found`` may carry ``short_vectors_with_norms(gram, 2)`` when the
     caller already has it; otherwise the search runs here.
     """
+    return _identify_dn_plus(gram, found, None)
+
+
+def _identify_dn_plus(gram, found, det) -> LatticeIdentification:
+    """:func:`identify_dn_plus`, given |det gram| when the caller knows it."""
 
     def miss(reason: str) -> LatticeIdentification:
         return LatticeIdentification(None, reason)
@@ -172,7 +177,7 @@ def identify_dn_plus(gram, found=None) -> LatticeIdentification:
         igram = mx.int_matrix(gram)
     except ValueError:
         return miss("Gram matrix is not integral")
-    d = abs(mx.det(igram))
+    d = abs(mx.det(igram)) if det is None else det
     if d != 1:
         return miss("determinant is %s, expected 1" % d)
     if found is None:

@@ -5,7 +5,7 @@ primary implementation: invariant factors via minor gcds instead of
 row reduction, short vectors via box enumeration (in the given or the
 size-reduced basis, whichever box has fewer points, with one integer
 set-up per basis and a guarded int64 map-back) instead of the pruned
-recursive search, the discriminant via its factored form
+level-wise search, the discriminant via its factored form
 instead of b^2 - 4ac, and the distinguished fibre Gram matrix from its
 displayed entry pattern instead of from divisor classes.  Tests and the
 verification battery compare the two routes; nothing here is used by

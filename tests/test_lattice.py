@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mwlattice import lattice
 from mwlattice import matrices as mx
 from mwlattice.boxenum import box_short_vectors
 from mwlattice.errors import FormError
@@ -24,7 +25,7 @@ from mwlattice.lattice import (
     size_reduce,
     vector_norms,
 )
-from mwlattice.oracles import determinant_by_expansion
+from mwlattice.oracles import brute_force_short_vectors, determinant_by_expansion
 
 A2 = ((2, -1), (-1, 2))
 D4 = (
@@ -308,3 +309,120 @@ def test_search_rejects_exactly_the_non_definite_forms(rows, shift):
         for search in SEARCHES:
             with pytest.raises(FormError, match="^Gram matrix must be symmetric$"):
                 search(tuple(map(tuple, rows)))
+
+
+def _random_gram(rng, n):
+    """B B^T for a random nonsingular B near 2 I: as it is, over s, or its dual times s."""
+    b = None
+    while b is None or mx.det(b) == 0:
+        b = tuple(tuple(rng.randint(-1, 1) + 2 * (i == j) for j in range(n)) for i in range(n))
+    gram = mx.matmul(b, mx.transpose(b))
+    kind, s = rng.randrange(3), rng.randint(2, 5)
+    if kind == 1:
+        gram = tuple(tuple(Fraction(x, s) for x in row) for row in gram)
+    elif kind == 2:
+        gram = tuple(tuple(s * x for x in row) for row in dual_gram(gram)[0])
+    return gram
+
+
+def _search_recording_guard(monkeypatch, gram, bound, limit=1 << 62, wide_from=None):
+    """short_vectors_with_norms with the int64 guard's limit set to ``limit``
+    (and its verdict forced to "reject" from the level ``wide_from`` on),
+    and the value of every guard the search consulted."""
+    reaches = []
+    real = lattice._level_reach
+
+    def record(*args):
+        reaches.append(real(*args))
+        if len(reaches) - 1 == wide_from:
+            return limit
+        return reaches[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(lattice, "_level_reach", record)
+        m.setattr(lattice, "_INT64_LIMIT", limit)
+        found = short_vectors_with_norms(gram, bound)
+    assert all(type(x) is int for v, _ in found for x in v)
+    assert all(type(nv) is Fraction for _, nv in found)
+    return found, reaches
+
+
+def test_search_matches_box_oracle_at_every_limit(monkeypatch):
+    # Every level in int64 (the real limit), every level on Python integers
+    # (limit 0), and a switch from int64 to Python integers partway down.
+    rng = random.Random(41)
+    for _ in range(40):
+        n, bound = rng.randint(1, 7), rng.randint(1, 8)
+        gram = _random_gram(rng, n)
+        box = brute_force_short_vectors(gram, bound)
+        found, reaches = _search_recording_guard(monkeypatch, gram, bound)
+        assert tuple(v for v, _ in found) == box == short_vectors(gram, bound)
+        assert all(0 < nv <= bound for _, nv in found)
+        assert _search_recording_guard(monkeypatch, gram, bound, limit=0) == (found, [])
+        if reaches:
+            wide_from = rng.randrange(len(reaches))
+            got, seen = _search_recording_guard(monkeypatch, gram, bound, wide_from=wide_from)
+            assert (got, seen) == (found, reaches[:wide_from + 1])
+
+
+def test_search_keeps_coordinates_beyond_int64():
+    # b_0 = e_0, b_1 = K e_0 + e_1: the vectors of norm 1 are +-b_0 and
+    # +-(b_1 - K b_0), whose coordinate K does not fit in int64.
+    k = 1 << 70
+    gram = ((1, k), (k, k * k + 1))
+    found = short_vectors_with_norms(gram, 1)
+    assert found == (((-k, 1), 1), ((-1, 0), 1), ((1, 0), 1), ((k, -1), 1))
+    assert all(type(x) is int for v, _ in found for x in v)
+
+
+def test_search_bounds_partial_sums_by_the_coordinates(monkeypatch):
+    # Rows b_i = K e_{i-1} + e_i: every N_ij is 0 or K = 2^21, far inside
+    # int64, but the vectors of norm 1, +-e_j B^-1, have coordinates up to
+    # K^3 = 2^63, so the centre sums of the last level need Python integers.
+    k, n = 1 << 21, 4
+    b = tuple(tuple(1 if j == i else k if j == i - 1 else 0 for j in range(n)) for i in range(n))
+    gram = mx.matmul(b, mx.transpose(b))
+    rows = mx.inverse(b)
+    expected = sorted(tuple(int(sign * x) for x in row) for row in rows for sign in (1, -1))
+    found, reaches = _search_recording_guard(monkeypatch, gram, 1)
+    assert tuple(v for v, _ in found) == tuple(expected)
+    assert max(abs(x) for v in expected for x in v) == k ** 3
+    # int64 down to level 1, Python integers at level 0
+    assert len(reaches) == n and max(reaches[:-1]) < 1 << 62 <= reaches[-1]
+
+
+@pytest.mark.parametrize("k", [1 << 27, (1 << 27) + 1, 3037000499, 3037000500, 1 << 32])
+def test_search_square_root_at_float_rounding(k):
+    # The budget is k^2 - 1 at the only level, and the float64 root of
+    # k^2 - 1 rounds to k: x = +-1 (norm k) lies just outside the bound.
+    # The last three put the budget between 2^62 and 2^63, just above 2^63
+    # and just below 2^64.
+    gram = ((k,),)
+    assert short_vectors_with_norms(gram, Fraction(k * k - 1, k)) == ()
+    assert short_vectors_with_norms(gram, k) == (((-1,), k), ((1,), k))
+
+
+def test_search_with_a_budget_beyond_int64():
+    # The shape of a rank-8 dual Gram matrix of the survey workload: its
+    # integer budget at bound 2 is about 2^74, so the search starts on
+    # Python integers.
+    gram = [[Fraction(1 + (i == j)) for j in range(8)] for i in range(8)]
+    for j in range(1, 8):
+        gram[0][j] = gram[j][0] = Fraction(7)
+    gram[0][0], gram[6][6] = Fraction(46), Fraction(10, 9)
+    assert lattice._search(gram, 2)[2] >= 1 << 62
+    found = short_vectors_with_norms(gram, 2)
+    vectors = tuple(v for v, _ in found)
+    assert len(vectors) == 400
+    assert vectors == brute_force_short_vectors(gram, 2)
+    assert tuple(nv for _, nv in found) == vector_norms(gram, vectors)
+
+
+def test_search_builds_one_fraction_per_distinct_norm(monkeypatch):
+    built = []
+    monkeypatch.setattr(lattice, "Fraction", lambda *args: built.append(args) or Fraction(*args))
+    vectors = short_vectors(E8, 4)
+    assert len(vectors) == 240 + 2160 and len(built) == 1  # the bound
+    found = short_vectors_with_norms(E8, 4)
+    assert tuple(v for v, _ in found) == vectors
+    assert len(built) == 1 + 1 + 2  # the bound, then norms 2 and 4

@@ -129,6 +129,18 @@ def test_mwl_reports_why_identification_failed_or_held(name, reason):
         expected.label, expected.reason)
 
 
+@pytest.mark.parametrize("g", [1, 2])
+def test_mwl_takes_no_determinant_of_the_dual_gram(g, monkeypatch):
+    # dual_gram has already given |det| of the complement's Gram matrix,
+    # so the dual's determinant is known: only T's Gram matrix is expanded.
+    seen = []
+    real = mx.det
+    monkeypatch.setattr(mx, "det", lambda m: seen.append(m) or real(m))
+    report = mwl(scenario_all_irreducible(g))
+    assert report.identified_as == ("D_8^+ = E_8" if g == 1 else "D_12^+")
+    assert [len(m) for m in seen] == [2]
+
+
 def test_mwl_degenerate_complement_raises():
     # with Delta as zero section, T = <Delta, F> and F.F = F.Delta = 0, so
     # F lies in the complement of T and its Gram matrix is singular
