@@ -37,7 +37,6 @@ class CatalogEntry:
     scenario: Scenario
     expected_group: AbelianGroupInvariants
     expected_shapes: tuple[str, ...]
-    expected_identified: str | None = None
     note: str = ""
 
 
@@ -129,7 +128,6 @@ def build_catalog() -> tuple[CatalogEntry, ...]:
                 note="distinguished fibre; group side and shape side both trivial",
             )
         )
-    identified = {1: "D_8^+ = E_8", 2: "D_12^+", 3: "D_16^+"}
     for g in (1, 2, 3):
         entries.append(
             CatalogEntry(
@@ -137,7 +135,6 @@ def build_catalog() -> tuple[CatalogEntry, ...]:
                 scenario=scenario_all_irreducible(g),
                 expected_group=_group(4 * g + 4),
                 expected_shapes=(),
-                expected_identified=identified[g],
                 note="no reducible fibres; Mordell-Weil lattice is unimodular",
             )
         )

@@ -133,14 +133,6 @@ class IntegerLattice:
     def determinant(self):
         return mx.det(self.gram())
 
-    def inner(self, u: Sequence[int], v: Sequence[int]):
-        """Form value of two vectors given in basis coordinates."""
-        g = self.gram()
-        return sum(u[i] * g[i][j] * v[j] for i in range(self.rank) for j in range(self.rank))
-
-    def norm(self, v: Sequence[int]):
-        return self.inner(v, v)
-
 
 def gram_matrix(form: Sequence[Sequence[int]], rows: Sequence[Sequence[int]]):
     """Gram matrix B F B^T of the given rows under the ambient form."""
@@ -174,6 +166,7 @@ def orthogonal_complement(sub: IntegerLattice) -> IntegerLattice:
 
 def dual_gram(gram: Sequence[Sequence]):
     """Gram matrix of the dual basis and |det| of the original Gram."""
+    _check_square(gram)
     try:
         inv, d = mx._inverse_and_det(gram)
     except ValueError as exc:
@@ -181,13 +174,21 @@ def dual_gram(gram: Sequence[Sequence]):
     return inv, abs(d)
 
 
+def _check_square(gram) -> None:
+    n = len(gram)
+    if any(len(row) != n for row in gram):
+        raise FormError("Gram matrix must be square")
+
+
 def _bareiss_ldl(igram: mx.IntMatrix) -> tuple[tuple[int, ...], list[list[int]]]:
     """Fraction-free LDL data of a positive definite integer Gram matrix.
 
     Returns (D, N): the leading principal minors D[0] = 1, ..., D[n] and the
     rows N[i][j] (j >= i) of the Bareiss elimination, with N[i][i] = D[i+1].
-    Raises FormError when the form is not symmetric positive definite.
+    Raises FormError when the form is not square, symmetric and positive
+    definite.
     """
+    _check_square(igram)
     n = len(igram)
     for i in range(n):
         for j in range(i):
@@ -216,7 +217,7 @@ def ldl(gram: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], mx.Matrix]:
     Returns (d, r) with Q(x) = sum_i d_i (x_i + sum_{j>i} r_ij x_j)^2.
     This is the rational view of the fraction-free factorisation the
     short-vector search runs on.  Raises FormError when the form is not
-    positive definite.
+    square, symmetric and positive definite.
     """
     igram, scale = mx.as_integer_matrix(gram)
     minors, num = _bareiss_ldl(igram)
@@ -230,41 +231,41 @@ def ldl(gram: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], mx.Matrix]:
     return d, r
 
 
-def short_vectors_with_norms(obj, bound) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+def short_vectors_with_norms(gram, bound) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
     """All nonzero vectors of norm <= bound, each paired with its norm.
 
-    ``obj`` may be an IntegerLattice or a positive definite Gram matrix
-    (integer or rational entries).  Pairs are sorted lexicographically by
-    vector and closed under negation.  The level-wise Fincke-Pohst search
+    ``gram`` is a positive definite Gram matrix (integer or rational
+    entries).  Pairs are sorted lexicographically by vector and closed
+    under negation.  The level-wise Fincke-Pohst search
     (see the module docstring) runs in int64 while its guard proves that
     no intermediate reaches 2^62, and on Python integers from the first
     level where it cannot; a vector's remaining budget gives ``v G v^T``
     exactly, so each norm comes free with its vector, as one Fraction per
     distinct norm.
-    Raises FormError when the form is not positive definite.
+    Raises FormError when the form is not square, symmetric and positive
+    definite.
     """
-    vectors, remaining, top, unit = _search(obj, bound)
+    vectors, remaining, top, unit = _search(gram, bound)
     norms = {r: Fraction(top - r, unit) for r in set(remaining)}
     return tuple(zip(vectors, map(norms.__getitem__, remaining)))
 
 
-def short_vectors(obj, bound) -> tuple[tuple[int, ...], ...]:
+def short_vectors(gram, bound) -> tuple[tuple[int, ...], ...]:
     """All nonzero vectors of norm <= bound, in basis coordinates.
 
     Same search and order as :func:`short_vectors_with_norms`, vectors
     only: no norm is built.
     """
-    return _search(obj, bound)[0]
+    return _search(gram, bound)[0]
 
 
-def _search(obj, bound):
+def _search(gram, bound):
     """Level-wise Fincke-Pohst search for the nonzero vectors of norm <= bound.
 
     Returns (vectors, remaining, top, unit): the vectors as sorted tuples of
     Python integers, the remaining integer budget of each, and the integers
     with norm(v) = (top - remaining) / unit.
     """
-    gram = obj.gram() if isinstance(obj, IntegerLattice) else mx.mat(obj)
     bound = Fraction(bound)
     n = len(gram)
     if n == 0 or bound < 0:
@@ -348,6 +349,7 @@ def size_reduce(gram):
     by norm) is the same for s G as for G, so only the reduced Gram matrix
     is divided by the scale s at the end.
     """
+    _check_square(gram)
     igram, scale = mx.as_integer_matrix(gram)
     g = [list(row) for row in igram]
     n = len(g)

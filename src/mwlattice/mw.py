@@ -17,7 +17,6 @@ from . import matrices as mx
 from .errors import FormError, InvalidModelError
 from .fibers import (
     KIND_TRIVIALIZING,
-    KIND_TRIVIALIZING_CORE,
     FiberShape,
     classify_shape,
     dual_graph,
@@ -151,26 +150,30 @@ class LatticeIdentification:
         return self.label is not None
 
 
-def identify_dn_plus(gram, found=None) -> LatticeIdentification:
+def identify_dn_plus(gram) -> LatticeIdentification:
     """Recognize the unimodular lattices D_n^+ (and E_8 for n = 8).
 
-    Requires an integral positive definite unimodular Gram matrix whose
-    norm-2 vectors span a sublattice of index 2 with 2n(n-1) roots; for
-    n = 8 the 240 roots span everything and the lattice is E_8.
-    ``found`` may carry ``short_vectors_with_norms(gram, 2)`` when the
-    caller already has it; otherwise the search runs here.
+    Requires a square, integral, positive definite unimodular Gram matrix
+    whose norm-2 vectors span a sublattice of index 2 with 2n(n-1) roots;
+    for n = 8 the 240 roots span everything and the lattice is E_8.
     """
-    return _identify_dn_plus(gram, found, None)
+    return _identify_dn_plus(gram, None, None)
 
 
 def _identify_dn_plus(gram, found, det) -> LatticeIdentification:
-    """:func:`identify_dn_plus`, given |det gram| when the caller knows it."""
+    """:func:`identify_dn_plus`, given what the caller already knows.
+
+    ``found`` may carry ``short_vectors_with_norms(gram, 2)`` and ``det``
+    |det gram|; either is computed here when None.
+    """
 
     def miss(reason: str) -> LatticeIdentification:
         return LatticeIdentification(None, reason)
 
-    gram = mx.mat(gram)
+    gram = tuple(map(tuple, gram))
     n = len(gram)
+    if any(len(row) != n for row in gram):
+        return miss("Gram matrix is not square")
     if n == 0:
         return miss("rank is 0")
     try:
@@ -214,10 +217,7 @@ def _identify_dn_plus(gram, found, det) -> LatticeIdentification:
 class EquivalenceReport:
     """Agreement between the group-side and fibre-side triviality tests.
 
-    ``has_trivializing_core`` records the weaker shape condition (the
-    distinguished tree with its free end removed appearing as an induced
-    subgraph); the headline ``agree`` compares MW triviality with the
-    full-tree condition only.
+    ``agree`` compares MW triviality with the full-tree shape condition.
     """
 
     scenario: str
@@ -225,7 +225,6 @@ class EquivalenceReport:
     shapes: tuple[FiberShape, ...]
     mw_trivial: bool
     has_trivializing_fiber: bool
-    has_trivializing_core: bool
 
     @property
     def agree(self) -> bool:
@@ -242,12 +241,6 @@ class EquivalenceReport:
             "mw_trivial": self.mw_trivial,
             "has_trivializing_fiber": self.has_trivializing_fiber,
         }
-
-    def detail(self) -> str:
-        return "MW %s; shapes [%s]" % (
-            self.group,
-            ", ".join(str(s) for s in self.shapes),
-        )
 
 
 def equivalence_check(scenario: Scenario) -> EquivalenceReport:
@@ -266,15 +259,10 @@ def equivalence_check(scenario: Scenario) -> EquivalenceReport:
     has_triv = any(
         s.kind == KIND_TRIVIALIZING and s.genus == model.g for s in shapes
     )
-    # A full match contains the core by construction, so it counts too.
-    has_core = has_triv or any(
-        s.kind == KIND_TRIVIALIZING_CORE and s.genus == model.g for s in shapes
-    )
     return EquivalenceReport(
         scenario=scenario.name,
         group=group,
         shapes=tuple(shapes),
         mw_trivial=group.is_trivial,
         has_trivializing_fiber=has_triv,
-        has_trivializing_core=has_core,
     )

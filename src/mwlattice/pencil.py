@@ -232,8 +232,12 @@ def double_cover_branch_germ(dc: DoubleCoverCoefficients) -> SparsePoly:
     return T * Y * dc.branch_polynomial()
 
 
-def random_pencil(g: int, rng: Random, sparsity: float = 0.5) -> PencilCoefficients:
-    """Random valid coefficient tuple with small rational entries."""
+def random_pencil(g: int, rng: Random) -> PencilCoefficients:
+    """Random valid coefficient tuple with small rational entries.
+
+    Besides c_{2,0} and c_{0,1}, each free coefficient is set with
+    probability 1/2.
+    """
 
     def nonzero() -> Fraction:
         num = rng.choice([n for n in range(-9, 10) if n])
@@ -244,6 +248,6 @@ def random_pencil(g: int, rng: Random, sparsity: float = 0.5) -> PencilCoefficie
         for j in range(i * g + 2):
             if (i, j) in ((0, 0), (1, 0), (2, 0), (0, 1)):
                 continue
-            if rng.random() < sparsity:
+            if rng.random() < 0.5:
                 coeffs[(i, j)] = nonzero()
     return PencilCoefficients.from_map(g, coeffs)

@@ -113,12 +113,6 @@ class DivisorClass:
     def b(self) -> int:
         return self.coeffs[1]
 
-    def m(self, i: int) -> int:
-        """Multiplicity at the i-th blown-up point, 1-based."""
-        if not 1 <= i <= self.model.n:
-            raise IndexError("point index out of range")
-        return self.coeffs[1 + i]
-
     def _check_model(self, other: "DivisorClass"):
         if self.model != other.model:
             raise ModelMismatchError(
@@ -142,9 +136,6 @@ class DivisorClass:
         return DivisorClass(self.model, tuple(c * x for x in self.coeffs))
 
     __mul__ = __rmul__
-
-    def dot(self, other: "DivisorClass") -> int:
-        return intersect(self, other)
 
     @property
     def self_intersection(self) -> int:

@@ -36,6 +36,11 @@ from .scenarios import (
 from .surface import class_from_coeffs, intersect
 
 ORACLE_RANK_LIMIT = 12
+# Randomized sample sizes of the seeded criteria.
+_PENCIL_SAMPLES = 100
+_GERM_SAMPLES = 5
+_ISOMETRY_TRIALS = 100
+_ORACLE_INSTANCES = 50
 
 
 @dataclass(frozen=True)
@@ -97,13 +102,20 @@ def check_maximal_mwl(genera) -> CriterionResult:
         want = 240 if n == 8 else 2 * n * (n - 1)
         if rep.root_count != want:
             failures.append("g=%d root count %d != %d" % (g, rep.root_count, want))
-        if rep.rank <= ORACLE_RANK_LIMIT:
-            # The box oracle checks the lattice of every model d = 0..g+1.
-            for d in range(g + 2):
-                if d == default.model.d:
-                    gram = rep.gram
-                else:
-                    gram = mwl(scenario_all_irreducible(g, d)).gram
+        label = "D_8^+ = E_8" if n == 8 else "D_%d^+" % n
+        # Within reach of the box oracle, every model d = 0..g+1 is checked.
+        boxed = rep.rank <= ORACLE_RANK_LIMIT
+        for d in range(g + 2) if boxed else (default.model.d,):
+            if d == default.model.d:
+                model_rep = rep
+            else:
+                model_rep = mwl(scenario_all_irreducible(g, d))
+            if model_rep.identified_as != label:
+                failures.append(
+                    "g=%d d=%d identified as %r" % (g, d, model_rep.identified_as)
+                )
+            if boxed:
+                gram = model_rep.gram
                 box = oracles.brute_force_short_vectors(gram, 2)
                 if box != short_vectors(gram, 2):
                     failures.append("g=%d d=%d enumeration oracle disagrees" % (g, d))
@@ -176,11 +188,11 @@ def check_equivalence_catalog() -> CriterionResult:
     )
 
 
-def check_discriminant_identity(genera, seed, samples=100) -> CriterionResult:
+def check_discriminant_identity(genera, seed) -> CriterionResult:
     failures = []
     rng = Random(seed)
     for g in genera:
-        for trial in range(samples):
+        for trial in range(_PENCIL_SAMPLES):
             pc = random_pencil(g, rng)
             direct = discriminant_in_x(pencil_equation(pc))
             if direct != oracles.factored_pencil_discriminant(pc):
@@ -189,15 +201,15 @@ def check_discriminant_identity(genera, seed, samples=100) -> CriterionResult:
     return _result(
         "discriminant-identity",
         failures,
-        "%d random tuples per genus match the factored form" % samples,
+        "%d random tuples per genus match the factored form" % _PENCIL_SAMPLES,
     )
 
 
-def check_contact_order(genera, seed, samples=100) -> CriterionResult:
+def check_contact_order(genera, seed) -> CriterionResult:
     failures = []
     rng = Random(seed)
     for g in genera:
-        for trial in range(samples):
+        for trial in range(_PENCIL_SAMPLES):
             pc = random_pencil(g, rng)
             bd = branch_decomposition(discriminant_in_x(pencil_equation(pc)))
             if bd.genus != g:
@@ -212,12 +224,12 @@ def check_contact_order(genera, seed, samples=100) -> CriterionResult:
     )
 
 
-def check_ade_germ(genera, seed, samples=5) -> CriterionResult:
+def check_ade_germ(genera, seed) -> CriterionResult:
     failures = []
     rng = Random(seed)
     for g in genera:
         want = "D(%d)" % (4 * g + 4)
-        for trial in range(samples):
+        for trial in range(_GERM_SAMPLES):
             pc = random_pencil(g, rng)
             germ = double_cover_branch_germ(pencil_to_double_cover(pc))
             got = classify_ade_germ(germ).label
@@ -227,7 +239,7 @@ def check_ade_germ(genera, seed, samples=5) -> CriterionResult:
     return _result("ade-germ", failures, "double-cover germ classifies as D(4g+4)")
 
 
-def check_isometry(genera, seed, trials=100) -> CriterionResult:
+def check_isometry(genera, seed) -> CriterionResult:
     failures = []
     rng = Random(seed)
     for g in genera:
@@ -236,7 +248,7 @@ def check_isometry(genera, seed, trials=100) -> CriterionResult:
         if abs(det(iso.matrix)) != 1:
             failures.append("g=%d determinant %s" % (g, det(iso.matrix)))
         width = 2 + sc.model.n
-        for trial in range(trials):
+        for trial in range(_ISOMETRY_TRIALS):
             a = class_from_coeffs(
                 sc.model, tuple(rng.randint(-9, 9) for _ in range(width))
             )
@@ -247,14 +259,14 @@ def check_isometry(genera, seed, trials=100) -> CriterionResult:
                 failures.append("g=%d trial %d product not preserved" % (g, trial))
                 break
     return _result(
-        "isometry", failures, "%d random products preserved per genus" % trials
+        "isometry", failures, "%d random products preserved per genus" % _ISOMETRY_TRIALS
     )
 
 
-def check_oracle_equivalence(seed, instances=50) -> CriterionResult:
+def check_oracle_equivalence(seed) -> CriterionResult:
     failures = []
     rng = Random(seed)
-    for trial in range(instances):
+    for trial in range(_ORACLE_INSTANCES):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         m = tuple(
@@ -263,7 +275,7 @@ def check_oracle_equivalence(seed, instances=50) -> CriterionResult:
         if invariant_factors(m) != oracles.invariant_factors_by_minors(m):
             failures.append("smith trial %d mismatch" % trial)
             break
-    for trial in range(instances):
+    for trial in range(_ORACLE_INSTANCES):
         n = rng.randint(1, 4)
         while True:
             b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
@@ -282,7 +294,8 @@ def check_oracle_equivalence(seed, instances=50) -> CriterionResult:
     return _result(
         "oracle-equivalence",
         failures,
-        "%d Smith and %d enumeration instances agree" % (instances, instances),
+        "%d Smith and %d enumeration instances agree"
+        % (_ORACLE_INSTANCES, _ORACLE_INSTANCES),
     )
 
 

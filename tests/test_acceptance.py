@@ -6,6 +6,8 @@ line for that criterion.  All checks are exact rational arithmetic, so
 there are no tolerances to configure.
 """
 
+import dataclasses
+
 import pytest
 
 from mwlattice import oracles, verify
@@ -68,3 +70,15 @@ def test_maximal_mwl_reuses_the_default_model_report(monkeypatch):
     monkeypatch.setattr(verify, "mwl", recording_mwl)
     assert check_maximal_mwl((1,)).passed
     assert sorted(models) == [0, 1, 2]
+
+
+def test_maximal_mwl_checks_the_lattice_label(monkeypatch):
+    # Every report is checked: each model d at g = 1, the default one at g = 3.
+    original = verify.mwl
+    monkeypatch.setattr(
+        verify, "mwl", lambda sc: dataclasses.replace(original(sc), identified_as=None)
+    )
+    result = check_maximal_mwl((1, 3))
+    assert not result.passed
+    for g, d in ((1, 0), (1, 1), (1, 2), (3, 3)):
+        assert "g=%d d=%d identified as None" % (g, d) in result.detail

@@ -25,6 +25,7 @@ from mwlattice.lattice import (
     size_reduce,
     vector_norms,
 )
+from mwlattice.mw import LatticeIdentification, identify_dn_plus
 from mwlattice.oracles import brute_force_short_vectors, determinant_by_expansion
 
 A2 = ((2, -1), (-1, 2))
@@ -83,7 +84,6 @@ def test_integer_lattice_basic():
     assert lat.ambient_rank == 2
     assert lat.gram() == ((2,),)
     assert lat.determinant() == 2
-    assert lat.norm((3,)) == 18
     with pytest.raises(FormError):
         IntegerLattice(((1, 1), (2, 2)), form)
     with pytest.raises(FormError):
@@ -141,6 +141,33 @@ def test_ldl_positive_definite():
         ldl(((1, 2), (3, 1)))  # asymmetric
 
 
+NON_SQUARE_ENTRY_POINTS = {
+    "ldl": ldl,
+    "size_reduce": size_reduce,
+    "dual_gram": dual_gram,
+    "short_vectors": lambda gram: short_vectors(gram, 2),
+    "short_vectors_with_norms": lambda gram: short_vectors_with_norms(gram, 2),
+    "brute_force_short_vectors": lambda gram: brute_force_short_vectors(gram, 2),
+    "identify_dn_plus": identify_dn_plus,
+}
+
+
+@pytest.mark.parametrize("entry", NON_SQUARE_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "gram",
+    [((2, 0, 5), (0, 2, 7)), ((2, 0), (0, 2), (5, 7)), ((2, 0), (0, 2, 7))],
+    ids=["2x3", "3x2", "ragged"],
+)
+def test_non_square_gram_is_rejected(entry, gram):
+    # Each entry point refuses the whole matrix, not just its leading block.
+    call = NON_SQUARE_ENTRY_POINTS[entry]
+    if entry == "identify_dn_plus":
+        assert call(gram) == LatticeIdentification(None, "Gram matrix is not square")
+    else:
+        with pytest.raises(FormError, match="^Gram matrix must be square$"):
+            call(gram)
+
+
 @pytest.mark.parametrize(
     "gram,norm,count",
     [
@@ -180,7 +207,7 @@ def test_short_vectors_empty_cases():
 
 def test_short_vectors_on_lattice_object():
     lat = IntegerLattice(((1, 0), (0, 2)), mx.identity(2))
-    vectors = short_vectors(lat, 1)
+    vectors = short_vectors(lat.gram(), 1)
     assert vectors == ((-1, 0), (1, 0))
 
 

@@ -1,5 +1,6 @@
 """Mordell-Weil groups, lattices, and the two-route triviality check."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from mwlattice.lattice import AbelianGroupInvariants, short_vectors_with_norms
 from mwlattice.mw import (
     EquivalenceReport,
     LatticeIdentification,
+    _identify_dn_plus,
     equivalence_check,
     identify_dn_plus,
     mw_group,
@@ -21,9 +23,13 @@ from mwlattice.mw import (
     trivial_lattice_generators,
 )
 from mwlattice.scenarios import (
+    ReducibleFiber,
     Scenario,
+    elementary_transformation,
     scenario_all_irreducible,
     scenario_trivial_mw,
+    transform_scenario,
+    validate_scenario,
 )
 from mwlattice.surface import SurfaceModel, delta, exceptional, fiber_class
 
@@ -141,6 +147,59 @@ def test_mwl_takes_no_determinant_of_the_dual_gram(g, monkeypatch):
     assert [len(m) for m in seen] == [2]
 
 
+def seeded_transformable_scenario(g, seed):
+    """Model d = g with the fibre (Delta - E_1, F - Delta + E_1), the centre
+    of an elementary transformation, and random cycle fibres over disjoint
+    subsets of E_2 .. E_{n-1}; the zero section is E_n."""
+    rng = random.Random(seed)
+    model = SurfaceModel.maximal(g, g)
+    f = fiber_class(model)
+    witness = delta(model) - exceptional(model, 1)
+    fibers = [ReducibleFiber((witness, f - witness))]
+    points = list(range(2, model.n))
+    rng.shuffle(points)
+    while len(points) >= 2 and rng.random() < 0.75:
+        k = rng.randint(2, min(5, len(points)))
+        cycle, points = sorted(points[:k]), points[k:]
+        e = [exceptional(model, i) for i in cycle]
+        comps = [a - b for a, b in zip(e, e[1:])] + [f - e[0] + e[-1]]
+        fibers.append(ReducibleFiber(tuple(comps)))
+    return Scenario(
+        "seeded-g%d-%d" % (g, seed), model, f, (exceptional(model, model.n),), fibers
+    )
+
+
+TRANSFORMABLE = [("trivial", g, None) for g in (1, 2, 3)] + [
+    ("seeded", g, seed) for g in (1, 2, 3) for seed in range(4)
+]
+
+
+@pytest.mark.parametrize(
+    "kind,g,seed", TRANSFORMABLE, ids=["%s-g%d-%s" % t for t in TRANSFORMABLE]
+)
+def test_elementary_transformation_keeps_mw_invariants(kind, g, seed):
+    if kind == "trivial":
+        sc = scenario_trivial_mw(g)
+    else:
+        sc = seeded_transformable_scenario(g, seed)
+    assert validate_scenario(sc).ok, validate_scenario(sc).failures()
+    moved = transform_scenario(elementary_transformation(sc), sc)
+    assert moved.model.d == sc.model.d + 1
+    assert validate_scenario(moved).ok, validate_scenario(moved).failures()
+
+    def invariants(report):
+        return (
+            report.group,
+            report.rank,
+            report.trivial_discriminant,
+            report.discriminant,
+            report.root_count,
+            report.identified_as,
+        )
+
+    assert invariants(mwl(moved)) == invariants(mwl(sc))
+
+
 def test_mwl_degenerate_complement_raises():
     # with Delta as zero section, T = <Delta, F> and F.F = F.Delta = 0, so
     # F lies in the complement of T and its Gram matrix is singular
@@ -161,7 +220,7 @@ def test_mwl_trivial_lattice_discriminant():
 def identify_both_ways(gram):
     """identify_dn_plus searching itself, checked against a precomputed search."""
     result = identify_dn_plus(gram)
-    assert identify_dn_plus(gram, short_vectors_with_norms(gram, 2)) == result
+    assert _identify_dn_plus(gram, short_vectors_with_norms(gram, 2), None) == result
     return result
 
 
@@ -225,7 +284,6 @@ def test_equivalence_catalog_agreement():
         kinds = tuple(s.kind for s in report.shapes)
         assert kinds == entry.expected_shapes, entry.name
         if report.has_trivializing_fiber:
-            assert report.has_trivializing_core  # full match contains the core
             assert report.mw_trivial
 
 
@@ -249,7 +307,6 @@ def test_certificate_reports_disagreement():
         shapes=(),
         mw_trivial=True,
         has_trivializing_fiber=False,
-        has_trivializing_core=False,
     )
     assert not report.agree
     cert = report.certificate()

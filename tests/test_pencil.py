@@ -1,5 +1,6 @@
 """Pencil discriminant, branch curve, contact order, coefficient transfer."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -204,3 +205,19 @@ def test_random_pencil_is_deterministic():
     assert a == b
     c = random_pencil(2, random.Random(100))
     assert a != c
+
+
+def test_random_pencil_draws_are_pinned():
+    # Digest of the tuples, and of the next draw of each generator, as
+    # random_pencil(g, rng) gave them when it still took a sparsity option
+    # (default 1/2): the fixed rate keeps every draw.
+    h = hashlib.sha256()
+    for g in range(1, 6):
+        for s in range(10):
+            rng = random.Random(s)
+            pc = random_pencil(g, rng)
+            entries = [(i, j, str(v)) for i, j, v in pc.entries]
+            h.update(("%d %d %r %d\n" % (g, s, entries, rng.getrandbits(32))).encode())
+    assert h.hexdigest() == (
+        "ac1b731d8df845d53cfee78800229e604a7431cc509fb756bfa6ede35fb8710d"
+    )

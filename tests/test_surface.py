@@ -108,7 +108,7 @@ def test_divisor_arithmetic():
     assert (3 * e1).coeffs[2] == -3
     assert (e1 * 3).coeffs[2] == -3
     assert intersect(e1 - e2, e1 - e2) == -2
-    assert e1.dot(e2) == 0
+    assert intersect(e1, e2) == 0
     assert e1.self_intersection == -1
     assert not e1.is_zero()
     assert (e1 - e1).is_zero()
