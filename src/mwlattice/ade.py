@@ -134,13 +134,9 @@ def _lowest(p: SparsePoly) -> tuple[int, Fraction]:
     return k, p.coefficient("y", k).constant_term()
 
 
-def _pure_u_terms(f: SparsePoly) -> list[tuple[int, Fraction]]:
-    """Terms u^h with no v factor, h >= 1, sorted by h."""
-    out = []
-    for exp, coef in f.terms.items():
-        if exp[2] == 0 and exp[0] >= 1:
-            out.append((exp[0], coef))
-    return sorted(out)
+def _pure_u_powers(f: SparsePoly) -> list[int]:
+    """The h >= 1 of the terms u^h with no v factor, sorted."""
+    return sorted(exp[0] for exp in f.exponents() if exp[2] == 0 and exp[0] >= 1)
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +191,11 @@ def _d_chain(state: _State, kappa: Fraction) -> GermClassification:
             continue
         # Now r is set and every u v^j term is negligible; any pure-u term
         # that is not negligible blocks the normal form.
-        blocking = [
-            (h, coef)
-            for h, coef in _pure_u_terms(state.f)
-            if h * (r - 1) <= 2 * r
-        ]
+        blocking = [h for h in _pure_u_powers(state.f) if h * (r - 1) <= 2 * r]
         if not blocking:
             return state.done(KIND_D, r + 1, "normal form u^2 v + v^%d" % r)
-        h, gamma = blocking[0]
+        h = blocking[0]
+        gamma = _u_part(state.f, h).constant_term()
         state.shift_v(gamma / kappa, h - 2)
 
 
@@ -303,7 +296,7 @@ def classify_ade_germ(
         raise ShapeError("germ must involve only the two local variables")
     if f.is_zero():
         return GermClassification(KIND_NOT_SIMPLE, None, (), "zero germ")
-    mult = min(sum(exp) for exp in f.terms)
+    mult = min(sum(exp) for exp in f.exponents())
     if mult < 2:
         raise ShapeError("germ must vanish to order at least 2 at the origin")
     if mult >= 4:

@@ -266,6 +266,7 @@ def _search(gram, bound):
     Python integers, the remaining integer budget of each, and the integers
     with norm(v) = (top - remaining) / unit.
     """
+    _check_square(gram)
     bound = Fraction(bound)
     n = len(gram)
     if n == 0 or bound < 0:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import matrices as mx
 from .boxenum import _box_radii, box_short_vectors
-from .lattice import size_reduce
+from .lattice import _check_square, size_reduce
 from .pencil import PencilCoefficients
 from .poly import SparsePoly, T, Y
 
@@ -84,6 +84,7 @@ def brute_force_short_vectors(gram, bound):
     reduced basis are mapped back by one matrix product (see
     :func:`_map_back`).
     """
+    _check_square(gram)
     bound = Fraction(bound)
     if bound < 0:
         return ()

@@ -1,30 +1,43 @@
 """Sparse exact polynomials in the fixed variables (t, x, y, z).
 
-Coefficients are ``fractions.Fraction``; exponent vectors are 4-tuples of
-nonnegative ints.  Zero coefficients are never stored, so ``terms`` is a
-canonical representation and equality is plain dict equality.  The string
-form lists terms in graded lexicographic order, which also fixes the
-serialization order.
+A polynomial is stored as integer numerators over one common denominator:
+``_num`` maps each exponent vector, a 4-tuple of nonnegative ints, to a
+nonzero ``int``, and ``_den`` is a positive ``int``.  This is the primitive
+part times rational content of Geddes, Czapor & Labahn (*Algorithms for
+Computer Algebra*, 1992, sec. 2.7), with the content's numerator kept in
+the numerators.  The form is canonical: no zero numerator is stored and
+gcd(_den, every numerator) = 1, so the zero polynomial has _den = 1 and
+equality is a plain comparison of the two parts.
+
+Arithmetic runs on the numerators: a term product is one ``int``
+multiply, a sum rescales both sides to the lcm of the two denominators,
+and every result divides out one gcd in ``_make``, the trusted
+constructor of ring results, which does not validate the exponents again
+(they are sums or shifts of valid exponents).
+
+``terms`` gives the rational view, exponent -> ``Fraction``, built afresh
+on each call; code that needs only the exponents reads ``exponents()``.
+The string form lists terms in graded lexicographic order, which also
+fixes the serialization order.
 
 Public construction (``SparsePoly(...)``, ``const``, ``monomial``,
-``variable``) validates every exponent and converts every coefficient.
-Every ring result goes through the one term collector ``_collect``, which
-sums like terms into one dict, drops zeros and builds the result without
-validating again: its exponents are sums or shifts of valid exponents and
-its coefficients come out of ``Fraction`` arithmetic.
+``variable``) validates every exponent and converts every coefficient
+exactly; a float is refused.
 """
 
 from __future__ import annotations
 
+import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import KeysView, Mapping
 
 VARIABLES = ("t", "x", "y", "z")
 Exponent = tuple[int, int, int, int]
 
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
+_ONE: Exponent = (0, 0, 0, 0)
 
 
 def _index(var: str) -> int:
@@ -35,15 +48,23 @@ def _index(var: str) -> int:
         raise ValueError("unknown variable %r" % (var,)) from None
 
 
-@dataclass(frozen=True, eq=False)
+def _rational(value) -> Fraction:
+    """An exact coefficient; floats are refused, as in the ring operations."""
+    if isinstance(value, float):
+        raise TypeError("cannot coerce %r to SparsePoly" % (value,))
+    return Fraction(value)
+
+
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class SparsePoly:
-    """Polynomial as a mapping exponent -> nonzero rational coefficient."""
+    """Polynomial sum_e (_num[e] / _den) t^e0 x^e1 y^e2 z^e3, kept canonical."""
 
-    terms: Mapping[Exponent, Fraction] = field(default_factory=dict)
+    _num: dict[Exponent, int]
+    _den: int
 
-    def __post_init__(self):
+    def __init__(self, terms: Mapping[Exponent, Fraction] | None = None):
         clean = {}
-        for exp, coef in self.terms.items():
+        for exp, coef in (terms or {}).items():
             # Four nonnegative ints; booleans and non-integers are refused.
             try:
                 key = tuple(operator.index(e) for e in exp)
@@ -51,10 +72,14 @@ class SparsePoly:
                 key = ()
             if len(key) != 4 or min(key) < 0 or any(isinstance(e, bool) for e in exp):
                 raise ValueError("bad exponent vector %r" % (exp,))
-            coef = Fraction(coef)
+            coef = _rational(coef)
             if coef:
                 clean[key] = coef
-        object.__setattr__(self, "terms", clean)
+        # Over the lcm of reduced denominators, gcd(den, numerators) = 1.
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        object.__setattr__(self, "_num", {
+            e: int(c.numerator) * (den // int(c.denominator)) for e, c in clean.items()})
+        object.__setattr__(self, "_den", den)
 
     # -- constructors -------------------------------------------------
 
@@ -64,7 +89,7 @@ class SparsePoly:
 
     @staticmethod
     def const(value) -> "SparsePoly":
-        return SparsePoly({(0, 0, 0, 0): Fraction(value)})
+        return SparsePoly({_ONE: value})
 
     @staticmethod
     def variable(name: str) -> "SparsePoly":
@@ -75,27 +100,43 @@ class SparsePoly:
         e = [0, 0, 0, 0]
         for var, p in powers.items():
             e[_index(var)] = p
-        return SparsePoly({tuple(e): Fraction(coef)})
+        return SparsePoly({tuple(e): coef})
+
+    # -- views ----------------------------------------------------------
+
+    @property
+    def terms(self) -> dict[Exponent, Fraction]:
+        """Exponent -> nonzero ``Fraction`` coefficient, as a new dict."""
+        den = self._den
+        return {e: Fraction(c, den) for e, c in self._num.items()}
+
+    def exponents(self) -> KeysView[Exponent]:
+        """The exponent vectors of the nonzero terms, no coefficient built."""
+        return self._num.keys()
+
+    def __repr__(self) -> str:
+        return "SparsePoly(terms=%r)" % (self.terms,)
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "SparsePoly":
-        return _collect([*self.terms.items(), *_coerce(other).terms.items()])
+        return _sum(self, _coerce(other), 1)
 
     def __radd__(self, other) -> "SparsePoly":
         return self.__add__(other)
 
     def __neg__(self) -> "SparsePoly":
-        return _collect((e, -c) for e, c in self.terms.items())
+        return _new({e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "SparsePoly":
-        return self + (-_coerce(other))
+        return _sum(self, _coerce(other), -1)
 
     def __rsub__(self, other) -> "SparsePoly":
-        return _coerce(other) + (-self)
+        return _sum(_coerce(other), self, -1)
 
     def __mul__(self, other) -> "SparsePoly":
-        return _collect(_products(self.terms, _coerce(other).terms))
+        other = _coerce(other)
+        return _make(_add_products({}, self._num, other._num), self._den * other._den)
 
     def __rmul__(self, other) -> "SparsePoly":
         return self.__mul__(other)
@@ -117,40 +158,40 @@ class SparsePoly:
             other = SparsePoly.const(other)
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self._den == other._den and self._num == other._num
 
     __hash__ = None
 
     # -- structure queries --------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def degree(self, var: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
         i = _index(var)
-        return max((e[i] for e in self.terms), default=-1)
+        return max((e[i] for e in self._num), default=-1)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((sum(e) for e in self._num), default=-1)
 
     def order(self, var: str) -> int:
         """Smallest exponent of ``var`` over all terms; -1 if zero poly."""
         i = _index(var)
-        return min((e[i] for e in self.terms), default=-1)
+        return min((e[i] for e in self._num), default=-1)
 
     def uses(self, var: str) -> bool:
         i = _index(var)
-        return any(e[i] for e in self.terms)
+        return any(e[i] for e in self._num)
 
     def coefficient(self, var: str, power: int) -> "SparsePoly":
         """Coefficient of var^power, as a polynomial in the other variables."""
         i = _index(var)
-        return _collect((e[:i] + (0,) + e[i + 1:], c)
-                        for e, c in self.terms.items() if e[i] == power)
+        return _make({e[:i] + (0,) + e[i + 1:]: c
+                      for e, c in self._num.items() if e[i] == power}, self._den)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0, 0, 0, 0), Fraction(0))
+        return Fraction(self._num.get(_ONE, 0), self._den)
 
     def substitute_value(self, var: str, value) -> "SparsePoly":
         """Plug a rational constant into one variable."""
@@ -159,33 +200,46 @@ class SparsePoly:
     def substitute(self, var: str, replacement: "SparsePoly") -> "SparsePoly":
         """Plug a polynomial into one variable, exactly.
 
-        Terms are grouped by their power k of ``var``; each group times
-        replacement^k, from one list of powers, goes into one collector.
+        With replacement = R / r and top the largest power of ``var``, the
+        result is sum_k G_k R^k r^(top-k) over den * r^top, where G_k holds
+        the numerators of the terms with var^k.  One list of integer powers
+        of R serves every group, and one gcd ends it.
         """
         i = _index(var)
-        groups: dict[int, dict[Exponent, Fraction]] = {}
-        for e, c in self.terms.items():
+        replacement = _coerce(replacement)
+        groups: dict[int, dict[Exponent, int]] = {}
+        for e, c in self._num.items():
             groups.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
-        powers = [SparsePoly.const(1)]
-        for _ in range(max(groups, default=0)):
-            powers.append(powers[-1] * replacement)
-        return _collect(pair for k, rest in groups.items()
-                        for pair in _products(rest, powers[k].terms))
+        top = max(groups, default=0)
+        r_num, r_den = replacement._num, replacement._den
+        powers = [{_ONE: 1}]
+        for _ in range(top):
+            powers.append(_add_products({}, powers[-1], r_num))
+        out: dict[Exponent, int] = {}
+        for k, rest in groups.items():
+            scale = r_den ** (top - k)
+            if scale != 1:
+                rest = {e: c * scale for e, c in rest.items()}
+            _add_products(out, rest, powers[k])
+        return _make(out, self._den * r_den ** top)
 
     def divide_by(self, var: str, power: int) -> "SparsePoly":
         """Exact division by var^power; raises if any term lacks the factor."""
         i = _index(var)
-        if any(e[i] < power for e in self.terms):
+        if power < 0:
+            raise ValueError("negative power")
+        if any(e[i] < power for e in self._num):
             raise ValueError("%s^%d does not divide every term" % (var, power))
-        return _collect((e[:i] + (e[i] - power,) + e[i + 1:], c)
-                        for e, c in self.terms.items())
+        return _new({e[:i] + (e[i] - power,) + e[i + 1:]: c
+                     for e, c in self._num.items()}, self._den)
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for exp in sorted(self.terms, key=lambda e: (sum(e), tuple(-x for x in e))):
-            coef = self.terms[exp]
+        for exp in sorted(terms, key=lambda e: (sum(e), tuple(-x for x in e))):
+            coef = terms[exp]
             mono = "*".join(
                 v if p == 1 else "%s^%d" % (v, p)
                 for v, p in zip(VARIABLES, exp)
@@ -203,25 +257,45 @@ class SparsePoly:
         return text.replace("+ -", "- ")
 
 
-def _collect(pairs: Iterable[tuple[Exponent, Fraction]]) -> SparsePoly:
-    """Sum (exponent, coefficient) pairs into one polynomial, zeros dropped.
-
-    The trusted constructor of every ring result: ``__post_init__`` is not
-    run, so the pairs must already be valid exponents and ``Fraction``s.
-    """
-    out: dict[Exponent, Fraction] = {}
-    for exp, coef in pairs:
-        out[exp] = out[exp] + coef if exp in out else coef
+def _new(num: dict[Exponent, int], den: int) -> SparsePoly:
+    """A polynomial from numerators and denominator already canonical."""
     poly = object.__new__(SparsePoly)
-    object.__setattr__(poly, "terms", {e: c for e, c in out.items() if c})
+    object.__setattr__(poly, "_num", num)
+    object.__setattr__(poly, "_den", den)
     return poly
 
 
-def _products(a: Mapping[Exponent, Fraction], b: Mapping[Exponent, Fraction]):
-    """The (exponent, coefficient) pairs of the term-by-term product a * b."""
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            yield (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3]), c1 * c2
+def _make(num: dict[Exponent, int], den: int) -> SparsePoly:
+    """Canonical form of num / den (den > 0): zeros dropped, one gcd divided out."""
+    num = {e: c for e, c in num.items() if c}
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {e: c // g for e, c in num.items()}
+    return _new(num, den)
+
+
+def _add_products(out: dict[Exponent, int], a: Mapping[Exponent, int],
+                  b: Mapping[Exponent, int]) -> dict[Exponent, int]:
+    """Add the term-by-term product of numerators a * b into ``out``."""
+    get = out.get
+    for (a0, a1, a2, a3), c1 in a.items():
+        for (b0, b1, b2, b3), c2 in b.items():
+            e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+            out[e] = get(e, 0) + c1 * c2
+    return out
+
+
+def _sum(p: SparsePoly, q: SparsePoly, sign: int) -> SparsePoly:
+    """p + sign * q over the lcm of the two denominators."""
+    den = math.lcm(p._den, q._den)
+    fp, fq = den // p._den, sign * (den // q._den)
+    out = dict(p._num) if fp == 1 else {e: c * fp for e, c in p._num.items()}
+    get = out.get
+    for e, c in q._num.items():
+        out[e] = get(e, 0) + c * fq
+    return _make(out, den)
 
 
 def _coerce(value) -> SparsePoly:

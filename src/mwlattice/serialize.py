@@ -40,8 +40,9 @@ def matrix_to_json(rows) -> list:
 
 
 def poly_to_json(p: SparsePoly) -> list:
-    order = sorted(p.terms, key=lambda e: (sum(e), tuple(-x for x in e)))
-    return [{"exp": list(e), "coef": frac_to_json(p.terms[e])} for e in order]
+    terms = p.terms
+    order = sorted(terms, key=lambda e: (sum(e), tuple(-x for x in e)))
+    return [{"exp": list(e), "coef": frac_to_json(terms[e])} for e in order]
 
 
 def poly_from_json(obj) -> SparsePoly:

@@ -4,6 +4,7 @@ The local variables (u, v) ride in the t and y slots of SparsePoly, so
 U and V below are aliases for those generators.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -19,7 +20,11 @@ from mwlattice.ade import (
 from mwlattice.errors import ConfigurationError, ShapeError
 from mwlattice.pencil import (
     PencilCoefficients,
+    branch_decomposition,
+    contact_order_at_origin,
+    discriminant_in_x,
     double_cover_branch_germ,
+    pencil_equation,
     pencil_to_double_cover,
     random_pencil,
 )
@@ -279,3 +284,35 @@ def test_label_is_invariant_under_coordinate_change(label, normal_form, linear, 
     p_v = c * U + d * V + q[3] * U * U + q[4] * U * V + q[5] * V * V
     germ = (unit[0] + unit[1] * U + unit[2] * V) * normal_form(p_u, p_v)
     assert classify_ade_germ(germ).label == label
+
+
+def test_audit_trails_are_pinned():
+    # Digest of what the pencil and germ paths print, as the per-term
+    # Fraction kernel gave it: the discriminant, the contact order, the
+    # label and the whole audit trail of 20 random pencils, then of every
+    # A/D/E normal form under a seeded invertible change of coordinates.
+    h = hashlib.sha256()
+    rng = random.Random(16)
+    for g in range(1, 6):
+        for _ in range(4):
+            pc = random_pencil(g, rng)
+            disc = discriminant_in_x(pencil_equation(pc))
+            contact = contact_order_at_origin(branch_decomposition(disc).branch)
+            out = classify_ade_germ(double_cover_branch_germ(pencil_to_double_cover(pc)))
+            h.update(repr((str(disc), contact, out.label, out.coordinate_changes,
+                           out.detail)).encode())
+    small = [Fraction(n, d) for n in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 5)]
+    for label, normal_form in NORMAL_FORMS:
+        a = b = c = d = 0
+        while a * d == b * c:
+            a, b, c, d = (rng.randint(-2, 2) for _ in range(4))
+        q = [rng.choice(small) for _ in range(5)]
+        p_u = a * U + b * V + q[0] * V * V + q[1] * U * V
+        p_v = c * U + d * V + q[2] * U * U
+        germ = (q[3] + q[4] * U) * normal_form(p_u, p_v)
+        out = classify_ade_germ(germ)
+        assert out.label == label
+        h.update(repr((str(germ), out.label, out.coordinate_changes, out.detail)).encode())
+    assert h.hexdigest() == (
+        "bd9954acd3a26e7635f104fb11c86f489848b16efdecf72914e03b7704a452f2"
+    )

@@ -148,6 +148,10 @@ NON_SQUARE_ENTRY_POINTS = {
     "short_vectors": lambda gram: short_vectors(gram, 2),
     "short_vectors_with_norms": lambda gram: short_vectors_with_norms(gram, 2),
     "brute_force_short_vectors": lambda gram: brute_force_short_vectors(gram, 2),
+    # A negative bound has no vectors, but the shape is checked first.
+    "short_vectors/bound-1": lambda gram: short_vectors(gram, -1),
+    "short_vectors_with_norms/bound-1": lambda gram: short_vectors_with_norms(gram, -1),
+    "brute_force_short_vectors/bound-1": lambda gram: brute_force_short_vectors(gram, -1),
     "identify_dn_plus": identify_dn_plus,
 }
 

@@ -1,5 +1,6 @@
 """Sparse polynomial ring over the rationals in (t, x, y, z)."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -71,6 +72,19 @@ def test_monomial_rejects_bad_powers(power):
 def test_unknown_variable_is_a_value_error(call):
     with pytest.raises(ValueError, match="unknown variable 'w'"):
         call(T * Y + 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SparsePoly({(1, 0, 0, 0): 0.5}),
+    lambda: SparsePoly.const(0.5),
+    lambda: SparsePoly.monomial(0.5, x=1),
+    lambda: T.substitute_value("t", 0.5),
+    lambda: T.substitute("t", 0.5),
+    lambda: T * 0.5,
+], ids=["constructor", "const", "monomial", "substitute_value", "substitute", "mul"])
+def test_float_coefficients_are_refused(call):
+    with pytest.raises(TypeError, match=r"^cannot coerce 0\.5 to SparsePoly$"):
+        call()
 
 
 def test_zero_coefficients_dropped():
@@ -168,6 +182,8 @@ def test_divide_by():
         p.divide_by("t", 2)
     with pytest.raises(ValueError):
         (T + 1).divide_by("t", 1)
+    with pytest.raises(ValueError, match="negative power"):
+        T.divide_by("t", -1)
 
 
 def test_str_graded_lex():
@@ -208,6 +224,106 @@ def _assert_canonical(p):
         assert type(coef) is Fraction and coef != 0
 
 
+def _assert_kernel_canonical(p):
+    """Integer numerators over one positive denominator, nothing to cancel."""
+    assert all(type(c) is int and c != 0 for c in p._num.values())
+    assert type(p._den) is int and p._den > 0
+    assert math.gcd(p._den, *p._num.values()) == 1
+
+
+# A reference model of the ring: a dict exponent -> nonzero Fraction.
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_pow(a, k):
+    out = {(0, 0, 0, 0): Fraction(1)}
+    for _ in range(k):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_coefficient(a, i, k):
+    return {e[:i] + (0,) + e[i + 1:]: c for e, c in a.items() if e[i] == k}
+
+
+def _ref_substitute(a, i, r):
+    out = {}
+    for e, c in a.items():
+        rest = {e[:i] + (0,) + e[i + 1:]: c}
+        out = _ref_add(out, _ref_mul(rest, _ref_pow(r, e[i])))
+    return out
+
+
+def _ref_str(a):
+    parts = []
+    for e in sorted(a, key=lambda e: (sum(e), [-x for x in e])):
+        mono = "*".join(v + ("^%d" % p if p > 1 else "") for v, p in zip(VARIABLES, e) if p)
+        if not mono:
+            parts.append(str(a[e]))
+        elif abs(a[e]) == 1:
+            parts.append(("-" if a[e] < 0 else "") + mono)
+        else:
+            parts.append("%s*%s" % (a[e], mono))
+    return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
+# Mixed denominators: small ones, and large primes that stay coprime.
+_DENOMINATORS = (1, 1, 2, 3, 4, 6, 10 ** 9 + 7, 2 ** 61 - 1, 998244353)
+
+
+def _random_model(rng, max_terms=4, max_exp=2):
+    model = {}
+    for _ in range(rng.randint(0, max_terms)):
+        exp = tuple(rng.randint(0, max_exp) for _ in range(4))
+        model[exp] = Fraction(rng.randint(-7, 7), rng.choice(_DENOMINATORS))
+    return {e: c for e, c in model.items() if c}
+
+
+def test_integer_kernel_matches_fraction_model():
+    rng = random.Random(1607)
+    for _ in range(150):
+        ma, mb, mr = (_random_model(rng) for _ in range(3))
+        a, b, r = SparsePoly(ma), SparsePoly(mb), SparsePoly(mr)
+        i = rng.randrange(4)
+        var = VARIABLES[i]
+        k = rng.randint(0, 3)
+        value = Fraction(rng.randint(-5, 5), rng.choice(_DENOMINATORS))
+        shifted = {e[:i] + (e[i] + k,) + e[i + 1:]: c for e, c in ma.items()}
+        cases = [
+            (a + b, _ref_add(ma, mb)),
+            (a - b, _ref_add(ma, mb, -1)),
+            ((a + b) - b, ma),
+            (a * r - r * a, {}),
+            (a * b, _ref_mul(ma, mb)),
+            (a ** k, _ref_pow(ma, k)),
+            (a.coefficient(var, k), _ref_coefficient(ma, i, k)),
+            (a.substitute(var, r), _ref_substitute(ma, i, mr)),
+            (a.substitute_value(var, value), _ref_substitute(ma, i, {(0, 0, 0, 0): value} if value else {})),
+            (SparsePoly(shifted).divide_by(var, k), ma),
+        ]
+        for got, want in cases:
+            _assert_kernel_canonical(got)
+            assert got.terms == want
+            assert got == SparsePoly(want)
+            assert str(got) == _ref_str(want)
+        assert (a == b) == (ma == mb)
+        assert a.constant_term() == ma.get((0, 0, 0, 0), 0)
+
+
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(f=_polys, r=_polys, var=st.sampled_from(VARIABLES),
        value=st.fractions(min_value=-3, max_value=3, max_denominator=3))
@@ -228,6 +344,7 @@ def test_results_are_canonical(f, g, var, k, value):
     ]
     for p in results:
         _assert_canonical(p)
+        _assert_kernel_canonical(p)
     assert results[5] == f
     assert results[6].is_zero()
     assert results[-1] == f
