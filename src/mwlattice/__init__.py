@@ -25,7 +25,6 @@ from .fibers import (
     classify_shape,
     dual_graph,
     fiber_multiplicities,
-    mw_rank_formula,
     to_dot,
 )
 from .lattice import AbelianGroupInvariants, cokernel_invariants, dual_gram
@@ -37,9 +36,7 @@ from .mw import (
     identify_dn_plus,
     mw_group,
     mw_rank_by_formula,
-    mw_torsion,
     mwl,
-    trivial_lattice,
 )
 from .pencil import (
     BranchDecomposition,
@@ -129,8 +126,6 @@ __all__ = [
     "intersect",
     "mw_group",
     "mw_rank_by_formula",
-    "mw_rank_formula",
-    "mw_torsion",
     "mwl",
     "pencil_equation",
     "pencil_to_double_cover",
@@ -143,6 +138,5 @@ __all__ = [
     "set_backend",
     "to_dot",
     "transform_scenario",
-    "trivial_lattice",
     "validate_scenario",
 ]

@@ -160,7 +160,7 @@ def _cmd_fiber(args) -> int:
         return 1
     rows = []
     for index, fib in enumerate(scenario.fibers):
-        graph = dual_graph(fib.components, fib.labels)
+        graph = dual_graph(fib.components)
         mults = fiber_multiplicities(fib.components, scenario.fiber)
         shape = classify_shape(graph, mults)
         rows.append((index, len(fib), mults, shape))
@@ -290,7 +290,7 @@ def _cmd_export(args) -> int:
     chunks = []
     for index in indices:
         fib = scenario.fibers[index]
-        graph = dual_graph(fib.components, fib.labels)
+        graph = dual_graph(fib.components)
         mults = fiber_multiplicities(fib.components, scenario.fiber)
         chunks.append(
             to_dot(graph, mults, name="%s_fiber%d" % (scenario.name, index))

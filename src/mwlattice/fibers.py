@@ -1,8 +1,9 @@
 """Dual graphs of reducible fibres and their shape classification.
 
-The dual graph of a reducible fibre has one node per component, decorated
-with the self-intersection, and an edge of weight Theta_i . Theta_j for
-each intersecting pair.  Each recognized shape is one generated reference
+The dual graph of a reducible fibre has one node per component, named
+Theta<k> by its position in the fibre and decorated with the
+self-intersection, and an edge of weight Theta_i . Theta_j for each
+intersecting pair.  Each recognized shape is one generated reference
 tree, labelled with squares and multiplicities (``_reference``), and a
 graph has the shape when that tree embeds in it as an induced subgraph with
 equal labels and weight-1 edges (``_embeds``):
@@ -97,7 +98,12 @@ class DualGraph:
         )
 
 
-def dual_graph(components: Sequence[DivisorClass], labels: Sequence[str] = ()) -> DualGraph:
+def _component_label(k: int) -> str:
+    """Name of the k-th component of a fibre, as graphs and reports print it."""
+    return "Theta%d" % k
+
+
+def dual_graph(components: Sequence[DivisorClass]) -> DualGraph:
     """Build the dual graph; rejects pairs with negative intersection."""
     comps = tuple(components)
     if not comps:
@@ -106,20 +112,18 @@ def dual_graph(components: Sequence[DivisorClass], labels: Sequence[str] = ()) -
     for c in comps:
         if c.model != model:
             raise ModelMismatchError("components live on different models")
-    labels = tuple(labels) or tuple("Theta%d" % k for k in range(len(comps)))
-    if len(labels) != len(comps):
-        raise ValueError("label count does not match component count")
     nodes = []
     edges = []
     for i, c in enumerate(comps):
-        nodes.append(GraphNode(labels[i], intersect(c, c)))
+        nodes.append(GraphNode(_component_label(i), intersect(c, c)))
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
             w = intersect(comps[i], comps[j])
             if w < 0:
                 raise NotAFiberError(
                     "components %s and %s meet negatively (%d); "
-                    "they cannot be distinct curves" % (labels[i], labels[j], w)
+                    "they cannot be distinct curves"
+                    % (_component_label(i), _component_label(j), w)
                 )
             if w > 0:
                 edges.append((i, j, w))
@@ -151,16 +155,6 @@ def fiber_multiplicities(
             raise NotAFiberError("multiplicity of component %d is %s, not positive" % (i, value))
         mults.append(int(value))
     return tuple(mults)
-
-
-def mw_rank_formula(rho: int, component_counts: Sequence[int]) -> int:
-    """Mordell-Weil rank rho - 2 - sum_t (v_t - 1) from fibre component counts."""
-    total = 0
-    for v in component_counts:
-        if v < 1:
-            raise ValueError("component counts must be positive")
-        total += v - 1
-    return rho - 2 - total
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,8 @@ class AbelianGroupInvariants:
     torsion: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(int(t) for t in self.torsion))
+        object.__setattr__(self, "free_rank", mx._integer(self.free_rank))
+        object.__setattr__(self, "torsion", tuple(map(mx._integer, self.torsion)))
         if self.free_rank < 0:
             raise ValueError("negative free rank")
         for t in self.torsion:
@@ -147,12 +148,13 @@ def cokernel_invariants(rows: Sequence[Sequence[int]], ambient_rank: int) -> Abe
     for row in rows:
         if len(row) != ambient_rank:
             raise ValueError("row length does not match ambient rank")
-    if not rows:
-        return AbelianGroupInvariants(ambient_rank, ())
-    factors = mx.invariant_factors(rows)
-    free = ambient_rank - len(factors)
+    return _group_from_factors(ambient_rank, mx.invariant_factors(rows))
+
+
+def _group_from_factors(ambient_rank: int, factors: Sequence[int]) -> AbelianGroupInvariants:
+    """Z^ambient_rank modulo a subgroup with the given invariant factors."""
     torsion = tuple(f for f in factors if f > 1)
-    return AbelianGroupInvariants(free, torsion)
+    return AbelianGroupInvariants(ambient_rank - len(factors), torsion)
 
 
 def orthogonal_complement(sub: IntegerLattice) -> IntegerLattice:

@@ -16,16 +16,18 @@ exact integer divisions and no ``Fraction`` is built until the result.
 There is one Smith reduction: the classical row/column reduction, including
 the divisibility fix-up, so the diagonal entries divide successively.  It
 carries only the row transform U (``U @ M @ V == S``; V is never built):
-the rows of U past the rank span the left kernel, and the leading rows of
-``U @ M`` are a basis of the row lattice.  ``invariant_factors`` reads only
-the diagonal, so it first reduces a tall matrix (the root list of ``mw``,
-552 x 24 at g = 5) to a Hermite form of at most ``cols`` rows by unimodular
-row operations on sparse rows (Cohen, GTM 138, section 2.4), and runs the
-Smith reduction without U on that block.
+the rows of U past the rank span the left kernel (``left_kernel_basis``),
+and the leading rows of ``U @ M`` are a basis of the row lattice, which
+``mw.mwl`` reads off the same reduction as the invariant factors.
+``invariant_factors`` reads only the diagonal, so it first reduces a tall
+matrix (the root list of ``mw``, 552 x 24 at g = 5) to a Hermite form of at
+most ``cols`` rows by unimodular row operations on sparse rows (Cohen,
+GTM 138, section 2.4), and runs the Smith reduction without U on that block.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -40,6 +42,20 @@ def mat(rows: Iterable[Iterable]) -> tuple:
     if out and any(len(row) != len(out[0]) for row in out):
         raise ValueError("ragged matrix")
     return out
+
+
+def _integer(x) -> int:
+    """``x`` as an int, for ints and numpy integers; a TypeError otherwise.
+
+    ``int(x)`` would truncate a float and parse a string; a bool is refused
+    too, since True is no coefficient.
+    """
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise TypeError("expected an integer, got %r" % (x,))
 
 
 def identity(n: int) -> IntMatrix:
@@ -366,14 +382,3 @@ def left_kernel_basis(m: Sequence[Sequence[int]]) -> IntMatrix:
     u, factors = _smith_reduce(m, track=True)
     return mat(u[len(factors):])
 
-
-def row_lattice_basis(m: Sequence[Sequence[int]]) -> IntMatrix:
-    """Basis (rows) of the lattice generated by the rows of ``m``.
-
-    With U @ M @ V == S, the rows of U @ M are those of S @ V^-1: the first
-    rank(M) of them form a basis and the rest are zero.
-    """
-    if not m or not m[0]:
-        return ()
-    u, factors = _smith_reduce(m, track=True)
-    return matmul(u[:len(factors)], m)

@@ -2,10 +2,15 @@
 
 The trivial lattice T of a scenario is generated by the zero section, the
 fibre class and all declared fibre components.  The Mordell-Weil group is
-NS(X)/T, computed from the Smith normal form of the generator matrix; its
+NS(X)/T, read off the Smith normal form of the generator matrix; its
 torsion equals sat(T)/T.  The Mordell-Weil lattice is the dual of the
 orthogonal complement of T inside NS(X) with the sign-flipped form, which
 is positive definite whenever the scenario is consistent.
+
+``mwl`` reduces the generator matrix once, with its row transform U: the
+invariant factors give the group, and the leading rows of U times the
+generators a basis of T.  ``mw_group`` needs only the factors and takes
+the cheaper route of ``lattice.cokernel_invariants``.
 """
 
 from __future__ import annotations
@@ -21,11 +26,11 @@ from .fibers import (
     classify_shape,
     dual_graph,
     fiber_multiplicities,
-    mw_rank_formula,
 )
 from .lattice import (
     AbelianGroupInvariants,
     IntegerLattice,
+    _group_from_factors,
     cokernel_invariants,
     dual_gram,
     orthogonal_complement,
@@ -42,34 +47,15 @@ def trivial_lattice_generators(scenario: Scenario) -> mx.IntMatrix:
     return tuple(rows)
 
 
-def trivial_lattice(scenario: Scenario, negate: bool = False) -> IntegerLattice:
-    """The trivial lattice T as a sublattice of NS(X)."""
-    gens = trivial_lattice_generators(scenario)
-    basis = mx.row_lattice_basis(gens)
-    form = (
-        scenario.model.neg_intersection_matrix()
-        if negate
-        else scenario.model.intersection_matrix()
-    )
-    return IntegerLattice(basis, form)
-
-
 def mw_group(scenario: Scenario) -> AbelianGroupInvariants:
     """Invariants of NS(X)/T; the free part is the Mordell-Weil rank."""
     gens = trivial_lattice_generators(scenario)
     return cokernel_invariants(gens, scenario.model.rank)
 
 
-def mw_torsion(scenario: Scenario) -> AbelianGroupInvariants:
-    """Torsion subgroup, the finite group sat(T)/T."""
-    group = mw_group(scenario)
-    return AbelianGroupInvariants(0, group.torsion)
-
-
 def mw_rank_by_formula(scenario: Scenario) -> int:
-    """Rank from the component-count formula, independent of the SNF route."""
-    counts = [len(fib) for fib in scenario.fibers]
-    return mw_rank_formula(scenario.model.rho, counts)
+    """Rank rho - 2 - sum_t (v_t - 1) from the component counts v_t, off the Smith route."""
+    return scenario.model.rho - 2 - sum(len(fib) - 1 for fib in scenario.fibers)
 
 
 @dataclass(frozen=True)
@@ -98,10 +84,16 @@ def mwl(scenario: Scenario) -> MWLReport:
     ``gram`` is the Gram matrix of the dual basis, i.e. of the
     Mordell-Weil lattice itself with its height pairing.  One short-vector
     search up to norm 2 gives both the root count and the D_n^+ check; it
-    raises FormError unless the lattice is positive definite.
+    raises FormError unless the lattice is positive definite.  The group
+    and T's basis come from one Smith reduction of T's generators (see the
+    module docstring).
     """
-    group = mw_group(scenario)
-    t_neg = trivial_lattice(scenario, negate=True)
+    gens = trivial_lattice_generators(scenario)
+    u, factors = mx._smith_reduce(gens, track=True)
+    group = _group_from_factors(scenario.model.rank, factors)
+    t_neg = IntegerLattice(
+        mx.matmul(u[:len(factors)], gens), scenario.model.neg_intersection_matrix()
+    )
     t_gram = t_neg.gram()
     t_disc = abs(mx.det(t_gram)) if t_gram else Fraction(1)
     complement = orthogonal_complement(t_neg)
@@ -253,7 +245,7 @@ def equivalence_check(scenario: Scenario) -> EquivalenceReport:
     group = mw_group(scenario)
     shapes = []
     for fib in scenario.fibers:
-        graph = dual_graph(fib.components, fib.labels)
+        graph = dual_graph(fib.components)
         mults = fiber_multiplicities(fib.components, scenario.fiber)
         shapes.append(classify_shape(graph, mults))
     has_triv = any(

@@ -3,9 +3,9 @@
 Each function here recomputes a result by a different route than the
 primary implementation: invariant factors via minor gcds instead of
 row reduction, short vectors via box enumeration (in the given or the
-size-reduced basis, whichever box has fewer points, with one integer
-set-up per basis and a guarded int64 map-back) instead of the pruned
-level-wise search, the discriminant via its factored form
+size-reduced basis, whichever box has fewer points, with integer box
+radii and a guarded int64 map-back) instead of the pruned level-wise
+search, the discriminant via its factored form
 instead of b^2 - 4ac, and the distinguished fibre Gram matrix from its
 displayed entry pattern instead of from divisor classes.  Tests and the
 verification battery compare the two routes; nothing here is used by
@@ -79,10 +79,13 @@ def brute_force_short_vectors(gram, bound):
     D_n^+, so neither basis is always the better one.  The answer is the
     same either way.
 
-    Each candidate basis is scaled to integers and checked once, by the
-    elimination that gives its box radii, and the vectors found in the
-    reduced basis are mapped back by one matrix product (see
-    :func:`_map_back`).
+    Each candidate basis is scaled to integers and checked by the
+    elimination that gives its box radii (:func:`_box_size`); the public
+    :func:`box_short_vectors` then runs that elimination once more on the
+    chosen basis, so there are three per call.  The scan goes through the
+    public function because the benchmark's tracer counts box scans and
+    points there.  The vectors found in the reduced basis are mapped back
+    by one matrix product (see :func:`_map_back`).
     """
     _check_square(gram)
     bound = Fraction(bound)

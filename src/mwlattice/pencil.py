@@ -25,7 +25,7 @@ from .errors import (
     InternalConsistencyError,
     ShapeError,
 )
-from .poly import SparsePoly, T, Y, Z
+from .poly import SparsePoly, T, Y, Z, _rational
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,9 @@ class PencilCoefficients:
     Valid indices are i in {0, 1, 2} with 0 <= j <= i*g + 1.  The corner
     coefficients c_{0,0} and c_{1,0} must vanish, while c_{2,0} and
     c_{0,1} must not; these four constraints make the pencil base points
-    and the discriminant factorization come out right.
+    and the discriminant factorization come out right.  A coefficient is
+    an int or a Fraction; anything else, a float included, is a TypeError,
+    as in the ring operations of :class:`SparsePoly`.
     """
 
     g: int
@@ -46,7 +48,7 @@ class PencilCoefficients:
             raise CoefficientError("genus must be at least 1")
         clean = {}
         for i, j, value in self.entries:
-            value = Fraction(value)
+            value = _rational(value)
             if not (0 <= i <= 2 and 0 <= j <= i * self.g + 1):
                 raise CoefficientError("index (%d, %d) out of range" % (i, j))
             if (i, j) in clean:
@@ -64,7 +66,7 @@ class PencilCoefficients:
 
     @classmethod
     def from_map(cls, g: int, coeffs) -> "PencilCoefficients":
-        return cls(g, tuple((i, j, Fraction(v)) for (i, j), v in coeffs.items()))
+        return cls(g, tuple((i, j, v) for (i, j), v in coeffs.items()))
 
     def coefficient(self, i: int, j: int) -> Fraction:
         for ei, ej, value in self.entries:
@@ -158,7 +160,8 @@ class DoubleCoverCoefficients:
 
     ``b1`` lists the 2g+1 coefficients indexed j = 1 .. 2g+1 (so b1[0]
     multiplies t^2 y^2 in the expanded right-hand side).  b0 and b10 are
-    required nonzero.
+    required nonzero.  Coefficients are ints or Fractions, as in
+    :class:`PencilCoefficients`.
     """
 
     g: int
@@ -169,9 +172,9 @@ class DoubleCoverCoefficients:
     def __post_init__(self):
         if self.g < 1:
             raise CoefficientError("genus must be at least 1")
-        object.__setattr__(self, "b0", Fraction(self.b0))
-        object.__setattr__(self, "b10", Fraction(self.b10))
-        object.__setattr__(self, "b1", tuple(Fraction(v) for v in self.b1))
+        object.__setattr__(self, "b0", _rational(self.b0))
+        object.__setattr__(self, "b10", _rational(self.b10))
+        object.__setattr__(self, "b1", tuple(map(_rational, self.b1)))
         if not self.b0:
             raise CoefficientError("leading branch coefficient b0 must be nonzero")
         if not self.b10:

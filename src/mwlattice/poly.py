@@ -49,10 +49,15 @@ def _index(var: str) -> int:
 
 
 def _rational(value) -> Fraction:
-    """An exact coefficient; floats are refused, as in the ring operations."""
-    if isinstance(value, float):
-        raise TypeError("cannot coerce %r to SparsePoly" % (value,))
-    return Fraction(value)
+    """An exact coefficient: an int or a Fraction, as in the ring operations.
+
+    A float, a string or a Decimal is refused; a Fraction passes unchanged.
+    """
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError("cannot coerce %r to SparsePoly" % (value,))
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)

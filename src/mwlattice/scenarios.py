@@ -15,7 +15,7 @@ from itertools import combinations
 
 from . import matrices as mx
 from .errors import ConfigurationError, InputFormatError, InvalidModelError, MWLatticeError
-from .fibers import dual_graph, fiber_multiplicities
+from .fibers import _component_label, dual_graph, fiber_multiplicities
 from .surface import (
     DivisorClass,
     SurfaceModel,
@@ -34,19 +34,12 @@ class ReducibleFiber:
     """Components of one reducible member of the pencil."""
 
     components: tuple[DivisorClass, ...]
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         comps = tuple(self.components)
         object.__setattr__(self, "components", comps)
         if not comps:
             raise ConfigurationError("a reducible fibre needs components")
-        labels = tuple(self.labels) or tuple(
-            "Theta%d" % k for k in range(len(comps))
-        )
-        if len(labels) != len(comps):
-            raise ConfigurationError("label count does not match component count")
-        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return len(self.components)
@@ -199,7 +192,7 @@ def transform_scenario(iso: BasisIsometry, scenario: Scenario) -> Scenario:
         fiber=iso.apply(scenario.fiber),
         sections=tuple(iso.apply(s) for s in scenario.sections),
         fibers=tuple(
-            ReducibleFiber(tuple(iso.apply(c) for c in fib.components), fib.labels)
+            ReducibleFiber(tuple(iso.apply(c) for c in fib.components))
             for fib in scenario.fibers
         ),
     )
@@ -285,7 +278,7 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
         except MWLatticeError as exc:
             add("fiber_%d_multiplicities" % k, False, str(exc))
         try:
-            graph = dual_graph(fib.components, fib.labels)
+            graph = dual_graph(fib.components)
             add(
                 "fiber_%d_dual_graph" % k,
                 graph.is_connected(),
@@ -297,12 +290,12 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
     # repeats) a component of another.
     for (k, fa), (l, fb) in combinations(enumerate(scenario.fibers), 2):
         meets = []
-        for a, la in zip(fa.components, fa.labels):
-            for b, lb in zip(fb.components, fb.labels):
+        for i, a in enumerate(fa.components):
+            for j, b in enumerate(fb.components):
                 w = intersect(a, b)
                 if w:
                     meets.append("%s of fibre %d meets %s of fibre %d (%d)"
-                                 % (la, k, lb, l, w))
+                                 % (_component_label(i), k, _component_label(j), l, w))
         add("fibers_%d_%d_disjoint" % (k, l), not meets, "; ".join(meets))
     return ValidationReport(scenario.name, tuple(checks))
 

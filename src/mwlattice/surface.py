@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InvalidModelError, ModelMismatchError
-from .matrices import IntMatrix
+from .matrices import IntMatrix, _integer
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class DivisorClass:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(_integer, self.coeffs)))
         if len(self.coeffs) != self.model.rank:
             raise ModelMismatchError(
                 "expected %d coefficients, got %d" % (self.model.rank, len(self.coeffs))

@@ -17,7 +17,6 @@ from mwlattice.fibers import (
     classify_shape,
     dual_graph,
     fiber_multiplicities,
-    mw_rank_formula,
     to_dot,
 )
 from mwlattice.oracles import (
@@ -35,7 +34,7 @@ def _graph(squares, edges):
 
 def test_dual_graph_from_components():
     sc = scenario_trivial_mw(1)
-    graph = dual_graph(sc.fibers[0].components, sc.fibers[0].labels)
+    graph = dual_graph(sc.fibers[0].components)
     assert len(graph) == 9
     assert graph.is_connected()
     assert graph.is_simple_tree()
@@ -107,18 +106,10 @@ def test_multiplicities_failure_modes():
         fiber_multiplicities((f - e1, f + e1), f)
 
 
-def test_rank_formula():
-    assert mw_rank_formula(10, ()) == 8
-    assert mw_rank_formula(10, (9,)) == 0
-    assert mw_rank_formula(14, (3, 4)) == 7
-    with pytest.raises(ValueError):
-        mw_rank_formula(10, (0,))
-
-
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
 def test_classify_trivializing(g):
     sc = scenario_trivial_mw(g)
-    graph = dual_graph(sc.fibers[0].components, sc.fibers[0].labels)
+    graph = dual_graph(sc.fibers[0].components)
     mults = fiber_multiplicities(sc.fibers[0].components, sc.fiber)
     shape = classify_shape(graph, mults)
     assert shape == FiberShape(KIND_TRIVIALIZING, genus=g)
@@ -130,7 +121,7 @@ def test_classify_core_only(g):
     # the full trivializing tree with its free chain end removed still
     # contains the distinguished core, but not the whole shape
     sc = scenario_trivial_mw(g)
-    full = dual_graph(sc.fibers[0].components, sc.fibers[0].labels)
+    full = dual_graph(sc.fibers[0].components)
     keep = list(range(1, len(full)))  # drop node 0, the far end of the chain
     relabel = {old: new for new, old in enumerate(keep)}
     reduced = DualGraph(
@@ -309,7 +300,7 @@ def test_classify_checks_lengths():
 
 def test_to_dot_output():
     sc = scenario_trivial_mw(1)
-    graph = dual_graph(sc.fibers[0].components, sc.fibers[0].labels)
+    graph = dual_graph(sc.fibers[0].components)
     mults = fiber_multiplicities(sc.fibers[0].components, sc.fiber)
     text = to_dot(graph, mults, name="my-fiber")
     assert text.startswith('graph "my-fiber" {')

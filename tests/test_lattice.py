@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +65,23 @@ def test_group_invariants_validation():
         AbelianGroupInvariants(0, (1,))
     with pytest.raises(ValueError):
         AbelianGroupInvariants(0, (4, 2))  # must divide successively
+
+
+@pytest.mark.parametrize("free,torsion", [
+    (0, (2.5,)), (0, ("3",)), (0, (True,)), (0, (Fraction(2),)),
+    (1.5, ()), ("1", ()), (True, ()),
+], ids=["float", "str", "bool", "fraction", "float-rank", "str-rank", "bool-rank"])
+def test_group_invariants_refuse_non_integers(free, torsion):
+    # int() would have truncated 2.5 to Z/2 and parsed "3"
+    with pytest.raises(TypeError, match="expected an integer"):
+        AbelianGroupInvariants(free, torsion)
+
+
+def test_group_invariants_take_numpy_integers():
+    group = AbelianGroupInvariants(np.int64(2), (np.int32(2), np.int64(4)))
+    assert group == AbelianGroupInvariants(2, (2, 4))
+    assert type(group.free_rank) is int
+    assert all(type(t) is int for t in group.torsion)
 
 
 def test_cokernel_invariants():

@@ -186,8 +186,14 @@ def test_left_kernel_basis_properties(m):
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(_INTEGER_RECTANGULAR)
-def test_row_lattice_basis_spans_same_lattice(m):
-    basis = mx.row_lattice_basis(m)
+def test_smith_transform_gives_row_lattice_basis(m):
+    # ``mw.mwl`` reads T's basis off the reduction that gives its factors.
+    u, factors = mx._smith_reduce(m, track=True)
+    assert factors == mx.invariant_factors(m)
+    assert abs(mx.det(u)) == 1
+    reduced = mx.matmul(u, m)
+    basis = reduced[:len(factors)]
+    assert not any(any(row) for row in reduced[len(factors):])
     assert len(basis) == mx.rank(m)
     # Every row of m is an integer combination of the basis; the basis rows
     # are independent, so the solution is unique and integrality decisive.

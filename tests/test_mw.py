@@ -1,5 +1,6 @@
 """Mordell-Weil groups, lattices, and the two-route triviality check."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -17,9 +18,7 @@ from mwlattice.mw import (
     identify_dn_plus,
     mw_group,
     mw_rank_by_formula,
-    mw_torsion,
     mwl,
-    trivial_lattice,
     trivial_lattice_generators,
 )
 from mwlattice.scenarios import (
@@ -51,10 +50,9 @@ def test_trivial_scenario_group_is_trivial(g):
     group = mw_group(sc)
     assert group.is_trivial
     assert mw_rank_by_formula(sc) == 0
-    assert mw_torsion(sc).is_trivial
-    lat = trivial_lattice(sc)
-    assert lat.rank == sc.model.rho  # full rank: T = NS(X)
-    assert abs(lat.determinant()) == 1
+    report = mwl(sc)
+    assert report.trivial_rank == sc.model.rho  # full rank: T = NS(X)
+    assert report.trivial_discriminant == 1
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -147,6 +145,20 @@ def test_mwl_takes_no_determinant_of_the_dual_gram(g, monkeypatch):
     assert [len(m) for m in seen] == [2]
 
 
+def test_mwl_reduces_the_generators_once(monkeypatch):
+    # The group and T's basis both come from one Smith reduction with U;
+    # no Hermite pass over the generators (``mw_group``'s route) remains.
+    sc = catalog_entry("g1-two-fibers").scenario
+    gens = trivial_lattice_generators(sc)
+    seen = []
+    for name in ("_smith_reduce", "_hermite_rows"):
+        real = getattr(mx, name)
+        monkeypatch.setattr(mx, name, lambda m, *a, real=real, name=name, **kw: (
+            seen.append((name, tuple(map(tuple, m)))) or real(m, *a, **kw)))
+    mwl(sc)
+    assert [name for name, m in seen if m == gens] == ["_smith_reduce"]
+
+
 def seeded_transformable_scenario(g, seed):
     """Model d = g with the fibre (Delta - E_1, F - Delta + E_1), the centre
     of an elementary transformation, and random cycle fibres over disjoint
@@ -198,6 +210,29 @@ def test_elementary_transformation_keeps_mw_invariants(kind, g, seed):
         )
 
     assert invariants(mwl(moved)) == invariants(mwl(sc))
+
+
+def test_lattice_path_is_pinned():
+    """Every field of ``mwl`` on 38 scenarios: the 14 catalog entries, the
+    maximal scenario at each (g, d) for g = 1..3, and 12 seeded cycle
+    scenarios.  The hash was taken when ``mwl`` still reduced the generator
+    matrix twice (once for the group, once for T's basis); the group must
+    also equal the one ``mw_group`` reads off its own Hermite route."""
+    scenarios = [entry.scenario for entry in build_catalog()]
+    scenarios += [scenario_all_irreducible(g, d) for g in (1, 2, 3) for d in range(g + 2)]
+    scenarios += [seeded_transformable_scenario(g, seed) for g in (1, 2, 3) for seed in range(4)]
+    rows = []
+    for sc in scenarios:
+        r = mwl(sc)
+        assert mw_group(sc) == r.group, sc.name
+        rows.append((
+            str(r.group), r.trivial_rank, str(r.trivial_discriminant), r.rank,
+            str(r.discriminant), r.root_count, r.identified_as,
+            r.identification_reason, tuple(tuple(map(str, row)) for row in r.gram),
+        ))
+    assert len(rows) == 38
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "06e2e7a73e9232f20c2168d4abf79c8f67ee2d484981a432a9e3035b6f9d343f")
 
 
 def test_mwl_degenerate_complement_raises():

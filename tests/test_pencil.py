@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,29 @@ def test_double_cover_coefficients_validation():
         DoubleCoverCoefficients(1, 1, 1, (0, 0))
     with pytest.raises(CoefficientError):
         DoubleCoverCoefficients(0, 1, 1, ())
+
+
+@pytest.mark.parametrize("value", [0.1, "1/2", Decimal("0.1")], ids=["float", "str", "decimal"])
+@pytest.mark.parametrize("build", [
+    lambda v: PencilCoefficients(1, ((2, 0, v), (0, 1, 1))),
+    lambda v: PencilCoefficients.from_map(1, {(2, 0): 1, (0, 1): 1, (1, 1): v}),
+    lambda v: DoubleCoverCoefficients(1, v, 1, (1, 1, 1)),
+    lambda v: DoubleCoverCoefficients(1, 1, v, (1, 1, 1)),
+    lambda v: DoubleCoverCoefficients(1, 1, 1, (1, v, 1)),
+], ids=["constructor", "from_map", "b0", "b10", "b1"])
+def test_coefficients_must_be_exact(build, value):
+    # Fraction(0.1) would have stored 3602879701896397/36028797018963968.
+    with pytest.raises(TypeError, match="cannot coerce"):
+        build(value)
+
+
+def test_exact_coefficients_are_kept():
+    pc = PencilCoefficients.from_map(1, {(2, 0): Fraction(1, 10), (0, 1): 1})
+    assert pc.coefficient(2, 0) == Fraction(1, 10)
+    assert all(type(v) is Fraction for _, _, v in pc.entries)
+    dc = DoubleCoverCoefficients(1, Fraction(1, 10), 1, (1, 0, Fraction(-2, 3)))
+    assert (dc.b0, dc.b10, dc.b1) == (Fraction(1, 10), 1, (1, 0, Fraction(-2, 3)))
+    assert all(type(v) is Fraction for v in (dc.b0, dc.b10, *dc.b1))
 
 
 def test_double_cover_equation_and_germ():

@@ -2,12 +2,14 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mwlattice import poly
 from mwlattice.poly import VARIABLES, T, X, Y, Z, SparsePoly
 
 
@@ -85,6 +87,28 @@ def test_unknown_variable_is_a_value_error(call):
 def test_float_coefficients_are_refused(call):
     with pytest.raises(TypeError, match=r"^cannot coerce 0\.5 to SparsePoly$"):
         call()
+
+
+@pytest.mark.parametrize("value", ["1/2", Decimal("0.1")], ids=["str", "decimal"])
+@pytest.mark.parametrize("call", [
+    lambda v: SparsePoly({(1, 0, 0, 0): v}),
+    lambda v: SparsePoly.const(v),
+    lambda v: SparsePoly.monomial(v, x=1),
+    lambda v: T.substitute_value("t", v),
+    lambda v: T.substitute("t", v),
+    lambda v: T * v,
+], ids=["constructor", "const", "monomial", "substitute_value", "substitute", "mul"])
+def test_only_ints_and_fractions_are_coefficients(call, value):
+    # Fraction("1/2") parses, so the constructors took what T * "1/2" refused.
+    with pytest.raises(TypeError, match=r"^cannot coerce .* to SparsePoly$"):
+        call(value)
+
+
+def test_fraction_coefficients_pass_through():
+    half = Fraction(1, 2)
+    assert poly._rational(half) is half
+    assert poly._rational(3) == Fraction(3)
+    assert SparsePoly.const(half).constant_term() == half
 
 
 def test_zero_coefficients_dropped():

@@ -5,6 +5,7 @@ import pytest
 from mwlattice import matrices as mx
 from mwlattice import scenarios
 from mwlattice.errors import ConfigurationError, InputFormatError
+from mwlattice.fibers import dual_graph
 from mwlattice.scenarios import (
     BasisIsometry,
     ReducibleFiber,
@@ -42,17 +43,15 @@ def test_trivial_scenario_component_count():
         sc = scenario_trivial_mw(g)
         assert len(sc.fibers) == 1
         assert len(sc.fibers[0]) == 4 * g + 5
-        # default labels
-        assert sc.fibers[0].labels[0] == "Theta0"
-        assert sc.fibers[0].labels[-1] == "Theta%d" % (4 * g + 4)
+        # components are named by position
+        nodes = dual_graph(sc.fibers[0].components).nodes
+        assert nodes[0].label == "Theta0"
+        assert nodes[-1].label == "Theta%d" % (4 * g + 4)
 
 
 def test_reducible_fiber_requires_components():
     with pytest.raises(ConfigurationError):
         ReducibleFiber(())
-    model = SurfaceModel.maximal(1)
-    with pytest.raises(ConfigurationError):
-        ReducibleFiber((exceptional(model, 1),), labels=("a", "b"))
 
 
 def test_scenario_requires_section():
@@ -215,7 +214,6 @@ def test_json_round_trip(g):
         assert len(back.fibers) == len(sc.fibers)
         for fa, fb in zip(back.fibers, sc.fibers):
             assert fa.components == fb.components
-            assert fa.labels == fb.labels
 
 
 def test_json_rejects_malformed():

@@ -1,5 +1,8 @@
 """Neron-Severi basis, intersection numbers, canonical and fibre classes."""
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from mwlattice.errors import InvalidModelError, ModelMismatchError
@@ -127,6 +130,22 @@ def test_coefficient_length_checked():
     model = SurfaceModel.maximal(1)
     with pytest.raises(ModelMismatchError):
         class_from_coeffs(model, (1, 2, 3))
+
+
+@pytest.mark.parametrize("value", [1.7, 1.0, "3", True, Fraction(1)],
+                         ids=["float", "integral-float", "str", "bool", "fraction"])
+def test_coefficients_must_be_integers(value):
+    # int() would have truncated 1.7 to 1 and parsed "3"
+    model = SurfaceModel.maximal(1)
+    with pytest.raises(TypeError, match="expected an integer"):
+        DivisorClass(model, (value,) * model.rank)
+
+
+def test_coefficients_take_numpy_integers():
+    model = SurfaceModel.maximal(1)
+    cls = DivisorClass(model, np.arange(model.rank))
+    assert cls.coeffs == tuple(range(model.rank))
+    assert all(type(c) is int for c in cls.coeffs)
 
 
 def test_str_form():
