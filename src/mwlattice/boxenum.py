@@ -9,7 +9,8 @@ and bound b, every vector v with v G v^T <= b satisfies
 (Cauchy-Schwarz against the dual basis), so enumerating the integer box
 with those radii and filtering by the exact norm is a complete search.
 The set-up runs once per call: the Gram matrix is scaled to integers once,
-and one fraction-free elimination checks that it is positive definite and
+the search's LDL check (``lattice._bareiss_ldl``) refuses a form that is
+not positive definite, and the Gauss-Jordan ``matrices._bareiss`` of (G | I)
 gives the radii (see :func:`_box_radii`); no rational inverse is built.
 
 Two interchangeable backends exist:
@@ -38,14 +39,13 @@ depends on the backend.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import isqrt, prod
 from typing import Sequence
 
 import numpy as _np
 
 from . import matrices as mx
-from .errors import FormError
+from .lattice import _bareiss_ldl, _check_square
 
 _TILE = 1 << 20  # norms computed per tile
 _INT64_NORM_LIMIT = 1 << 50
@@ -146,34 +146,18 @@ def _box_fits_int64(gram, radii, tn, td) -> bool:
 def _box_radii(int_gram: Sequence[Sequence[int]], threshold) -> list[int]:
     """Radii floor(sqrt(threshold * (G^-1)_ii)) of the box holding every short vector.
 
-    G is an integer Gram matrix and ``threshold`` the norm bound for it.
-    One fraction-free (Bareiss) Gauss-Jordan elimination of (G | I) without
-    row swaps does all the work.  Its k-th pivot is the k-th leading
-    principal minor, so by Sylvester's criterion every pivot must be
-    positive; it ends at (d I | adj G) with d = det G, so the diagonal of
-    the right block gives (G^-1)_ii = adj_ii / d.  Raises FormError unless
-    G is square, symmetric and positive definite.
+    G is an integer Gram matrix and ``threshold`` (an int or a Fraction) the
+    norm bound for it.  ``lattice._bareiss_ldl``, the search's own check,
+    raises FormError unless G is square, symmetric and positive definite;
+    then ``matrices._bareiss`` of (G | I) ends at (d I | adj G) with
+    d = det G, so (G^-1)_ii = adj_ii / d.
     """
+    _bareiss_ldl(int_gram)
     n = len(int_gram)
-    if any(len(row) != n for row in int_gram):
-        raise FormError("Gram matrix must be square")
-    if any(int_gram[i][j] != int_gram[j][i] for i in range(n) for j in range(i)):
-        raise FormError("Gram matrix must be symmetric")
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(int_gram)]
-    prev = 1
-    for k in range(n):
-        p = a[k][k]
-        if p <= 0:
-            raise FormError("form is not positive definite")
-        pivot_row = a[k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
-        prev = p
-    threshold = Fraction(threshold)
+    a = [[*row, *e] for row, e in zip(int_gram, mx.identity(n))]
+    _, d = mx._bareiss(a, n)
     # floor(sqrt(q)) = isqrt(floor(q)) for rational q >= 0.
-    tn, td = threshold.numerator, threshold.denominator * prev
+    tn, td = threshold.numerator, threshold.denominator * d
     return [isqrt(tn * a[i][n + i] // td) for i in range(n)]
 
 
@@ -184,9 +168,9 @@ def box_short_vectors(gram: Sequence[Sequence], bound) -> tuple[tuple[int, ...],
     result is sorted lexicographically; same contract as
     :func:`mwlattice.lattice.short_vectors`.
     """
-    gram = mx.mat(gram)
-    bound = Fraction(bound)
-    if not gram or bound < 0:
+    _check_square(gram)
+    bound = mx._exact(bound)
+    if len(gram) == 0 or bound < 0:
         return ()
     int_gram, scale = mx.as_integer_matrix(gram)
     threshold = bound * scale

@@ -27,7 +27,6 @@ embedding is an isomorphism.  Everything else is ``Other``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import matrices as mx
@@ -148,12 +147,11 @@ def fiber_multiplicities(
         raise NotAFiberError("fibre class is not spanned by the components")
     mults = []
     for i, value in enumerate(solution):
-        value = Fraction(value)
         if value.denominator != 1:
             raise NotAFiberError("multiplicity of component %d is %s, not integral" % (i, value))
         if value < 1:
             raise NotAFiberError("multiplicity of component %d is %s, not positive" % (i, value))
-        mults.append(int(value))
+        mults.append(value.numerator)
     return tuple(mults)
 
 
@@ -259,7 +257,7 @@ def classify_shape(graph: DualGraph, multiplicities: Sequence[int]) -> FiberShap
         raise ValueError("multiplicity count does not match node count")
     n = len(graph)
     squares = [node.self_intersection for node in graph.nodes]
-    labels = list(zip(squares, [int(m) for m in multiplicities]))
+    labels = list(zip(squares, map(mx._integer, multiplicities)))
     if graph.is_simple_tree():
         full = []
         if n >= 2:

@@ -105,8 +105,8 @@ class IntegerLattice:
     form: mx.IntMatrix
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", mx.mat(self.basis))
-        object.__setattr__(self, "form", mx.mat(self.form))
+        object.__setattr__(self, "basis", mx.int_matrix(self.basis))
+        object.__setattr__(self, "form", mx.int_matrix(self.form))
         n = len(self.form)
         if any(len(row) != n for row in self.form):
             raise FormError("ambient form must be square")
@@ -269,7 +269,7 @@ def _search(gram, bound):
     with norm(v) = (top - remaining) / unit.
     """
     _check_square(gram)
-    bound = Fraction(bound)
+    bound = mx._exact(bound)
     n = len(gram)
     if n == 0 or bound < 0:
         return (), [], 0, 1

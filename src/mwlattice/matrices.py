@@ -5,13 +5,18 @@ Matrices are tuples of tuples (rows).  Entries are Python ints or
 practice are small (rank at most a few dozen), so the implementations favour
 clarity and verifiability over asymptotics.
 
-There is one Gaussian elimination: ``det``, ``inverse``, ``rank`` and
-``solve_left`` (and ``lattice.dual_gram``, which reads the inverse and the
-determinant off one run, and ``fibers.fiber_multiplicities``, which reads a
-solution and the rank off one run) scale their matrix to integers once and
-run the same fraction-free (Bareiss) Gauss-Jordan elimination, in which every
+Entries are read in one place, ``as_integer_matrix`` (``int_matrix`` is its
+integer view): ints, numpy integers and Fractions pass; a bool, float, string
+or Decimal is a TypeError.
+
+There are two fraction-free (Bareiss) eliminations, in which every
 intermediate entry is a minor of the scaled matrix, so all divisions are
 exact integer divisions and no ``Fraction`` is built until the result.
+``_bareiss`` is the Gauss-Jordan one: ``det``, ``inverse``, ``rank``,
+``solve_left``, ``lattice.dual_gram``, ``fibers.fiber_multiplicities`` and
+``boxenum._box_radii`` run it.  ``lattice._bareiss_ldl`` is the symmetric
+LDL one: the Fincke-Pohst search runs on its data, and it is the check,
+shared with the box oracle, that a Gram matrix is positive definite.
 
 There is one Smith reduction: the classical row/column reduction, including
 the divisibility fix-up, so the diagonal entries divide successively.  It
@@ -58,6 +63,11 @@ def _integer(x) -> int:
     raise TypeError("expected an integer, got %r" % (x,))
 
 
+def _exact(x):
+    """``x`` as an int or a Fraction: a Fraction as it is, else ``_integer(x)``."""
+    return x if type(x) is Fraction else _integer(x)
+
+
 def identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -84,13 +94,12 @@ def as_integer_matrix(m: Sequence[Sequence]) -> tuple[IntMatrix, int]:
     """Scale a rational matrix to integers: returns (int_matrix, den).
 
     ``den`` is the lcm of the entries' denominators, so ``int_matrix`` is
-    ``den * m`` exactly.
+    ``den * m`` exactly.  Every entry goes through ``_exact``.
     """
     rows = tuple(tuple(row) for row in m)
     if all(type(x) is int for row in rows for x in row):
         return rows, 1
-    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-            for row in rows]
+    rows = [[_exact(x) for x in row] for row in rows]
     den = lcm(1, *(x.denominator for row in rows for x in row))
     return tuple(tuple(x.numerator * (den // x.denominator) for x in row)
                  for row in rows), den
@@ -168,7 +177,7 @@ def _inverse_and_det(m: Sequence[Sequence]) -> tuple[Matrix, Fraction]:
     if any(len(row) != n for row in m):
         raise ValueError("inverse of a non-square matrix")
     a, den = as_integer_matrix(m)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    aug = [[*row, *e] for row, e in zip(a, identity(n))]
     pivots, d = _bareiss(aug, n)
     if len(pivots) < n:
         raise ValueError("matrix is singular")
@@ -181,17 +190,14 @@ def _inverse_and_det(m: Sequence[Sequence]) -> tuple[Matrix, Fraction]:
 
 
 def int_matrix(m: Sequence[Sequence]) -> IntMatrix:
-    """Cast a rational matrix with unit denominators to integers."""
-    out = []
-    for row in m:
-        new = []
-        for x in row:
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise ValueError("entry %s is not an integer" % (x,))
-            new.append(f.numerator)
-        out.append(tuple(new))
-    return tuple(out)
+    """``m`` with int entries, through ``as_integer_matrix``.
+
+    A ValueError when some entry is a non-integral Fraction.
+    """
+    a, den = as_integer_matrix(m)
+    if den != 1:
+        raise ValueError("matrix has non-integer entries")
+    return a
 
 
 def solve_left(a: Sequence[Sequence], b: Sequence):
@@ -240,7 +246,7 @@ def _smith_reduce(m: Sequence[Sequence[int]], track: bool):
     for some unimodular V that is not built; without it u holds one empty
     row per row of ``m``, so the row operations below update nothing but S.
     """
-    a = [[int(x) for x in row] for row in m]
+    a = [list(row) for row in int_matrix(m)]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if track:
@@ -338,8 +344,8 @@ def _hermite_rows(m: Sequence[Sequence[int]]) -> list[dict]:
     pivot is 1, no other pivot row has an entry in its column.
     """
     table: dict[int, dict] = {}  # leading column -> pivot row
-    for values in m:
-        row = {j: x for j, x in enumerate(map(int, values)) if x}
+    for values in int_matrix(m):
+        row = {j: x for j, x in enumerate(values) if x}
         while row:
             col = min(row)
             pivot = table.get(col)

@@ -14,7 +14,6 @@ the primary code paths.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, combinations
 from math import gcd, prod
 
@@ -79,16 +78,16 @@ def brute_force_short_vectors(gram, bound):
     D_n^+, so neither basis is always the better one.  The answer is the
     same either way.
 
-    Each candidate basis is scaled to integers and checked by the
-    elimination that gives its box radii (:func:`_box_size`); the public
-    :func:`box_short_vectors` then runs that elimination once more on the
-    chosen basis, so there are three per call.  The scan goes through the
-    public function because the benchmark's tracer counts box scans and
-    points there.  The vectors found in the reduced basis are mapped back
+    Each candidate basis is scaled to integers, checked by the search's
+    LDL and given its box radii by the Gauss-Jordan elimination
+    (:func:`_box_size`); the public :func:`box_short_vectors` runs that
+    set-up once more on the chosen basis, so there are three per call.
+    The scan goes through the public function because the benchmark's
+    tracer counts box scans and points there.  The vectors found in the reduced basis are mapped back
     by one matrix product (see :func:`_map_back`).
     """
     _check_square(gram)
-    bound = Fraction(bound)
+    bound = mx._exact(bound)
     if bound < 0:
         return ()
     given = _box_size(gram, bound)
@@ -98,7 +97,7 @@ def brute_force_short_vectors(gram, bound):
     return _map_back(box_short_vectors(reduced, bound), transform)
 
 
-def _box_size(gram, bound: Fraction) -> int:
+def _box_size(gram, bound) -> int:
     int_gram, scale = mx.as_integer_matrix(gram)
     return prod(2 * r + 1 for r in _box_radii(int_gram, bound * scale))
 

@@ -25,6 +25,7 @@ from .errors import (
     InternalConsistencyError,
     ShapeError,
 )
+from .matrices import _integer
 from .poly import SparsePoly, T, Y, Z, _rational
 
 
@@ -35,20 +36,22 @@ class PencilCoefficients:
     Valid indices are i in {0, 1, 2} with 0 <= j <= i*g + 1.  The corner
     coefficients c_{0,0} and c_{1,0} must vanish, while c_{2,0} and
     c_{0,1} must not; these four constraints make the pencil base points
-    and the discriminant factorization come out right.  A coefficient is
-    an int or a Fraction; anything else, a float included, is a TypeError,
-    as in the ring operations of :class:`SparsePoly`.
+    and the discriminant factorization come out right.  The genus and the
+    indices are integers and a coefficient is an int or a Fraction;
+    anything else, a float included, is a TypeError, as in the ring
+    operations of :class:`SparsePoly`.
     """
 
     g: int
     entries: tuple[tuple[int, int, Fraction], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "g", _integer(self.g))
         if self.g < 1:
             raise CoefficientError("genus must be at least 1")
         clean = {}
         for i, j, value in self.entries:
-            value = _rational(value)
+            i, j, value = _integer(i), _integer(j), _rational(value)
             if not (0 <= i <= 2 and 0 <= j <= i * self.g + 1):
                 raise CoefficientError("index (%d, %d) out of range" % (i, j))
             if (i, j) in clean:
@@ -170,6 +173,7 @@ class DoubleCoverCoefficients:
     b1: tuple[Fraction, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "g", _integer(self.g))
         if self.g < 1:
             raise CoefficientError("genus must be at least 1")
         object.__setattr__(self, "b0", _rational(self.b0))

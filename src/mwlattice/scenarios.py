@@ -131,7 +131,7 @@ class BasisIsometry:
     matrix: mx.IntMatrix
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", mx.mat(self.matrix))
+        object.__setattr__(self, "matrix", mx.int_matrix(mx.mat(self.matrix)))
         size = self.source.rank
         if self.target.rank != size or len(self.matrix) != size:
             raise ConfigurationError("isometry matrix has the wrong size")

@@ -35,6 +35,8 @@ class SurfaceModel:
     g: int
 
     def __post_init__(self):
+        for name in ("d", "n", "g"):
+            object.__setattr__(self, name, _integer(getattr(self, name)))
         if self.g < 1:
             raise InvalidModelError("genus must be at least 1")
         if self.d < 0 or self.n < 0:

@@ -385,6 +385,13 @@ def test_verify_all_beyond_frozen_genera(capsys):
     assert out.splitlines()[-1] == "11/11 criteria passed"
 
 
+def test_verify_all_at_genus_6_to_8(capsys):
+    # D_28^+ .. D_36^+, in about a second
+    code, out, _ = run(capsys, "verify-all", "--g", "6..8", "--seed", "0")
+    assert code == 0, out
+    assert out.splitlines()[-1] == "11/11 criteria passed"
+
+
 def test_console_script():
     exe = shutil.which("mwlat")
     if exe is None:

@@ -298,6 +298,14 @@ def test_classify_checks_lengths():
         classify_shape(g, (1, 1))
 
 
+@pytest.mark.parametrize("value", [1.5, True, "1"])
+def test_classify_takes_integer_multiplicities(value):
+    # int(1.5) used to read the multiplicity as 1
+    two = _graph((-1, -1), [(0, 1, 1)])
+    with pytest.raises(TypeError, match="expected an integer"):
+        classify_shape(two, (value, 1))
+
+
 def test_to_dot_output():
     sc = scenario_trivial_mw(1)
     graph = dual_graph(sc.fibers[0].components)

@@ -1,6 +1,7 @@
 """Integer lattices: quotients, complements, LDL, short vectors."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from mwlattice import lattice
 from mwlattice import matrices as mx
-from mwlattice.boxenum import box_short_vectors
+from mwlattice.boxenum import _box_radii, box_short_vectors
 from mwlattice.errors import FormError
 from mwlattice.lattice import (
     AbelianGroupInvariants,
@@ -166,10 +167,12 @@ NON_SQUARE_ENTRY_POINTS = {
     "short_vectors": lambda gram: short_vectors(gram, 2),
     "short_vectors_with_norms": lambda gram: short_vectors_with_norms(gram, 2),
     "brute_force_short_vectors": lambda gram: brute_force_short_vectors(gram, 2),
+    "box_short_vectors": lambda gram: box_short_vectors(gram, 2),
     # A negative bound has no vectors, but the shape is checked first.
     "short_vectors/bound-1": lambda gram: short_vectors(gram, -1),
     "short_vectors_with_norms/bound-1": lambda gram: short_vectors_with_norms(gram, -1),
     "brute_force_short_vectors/bound-1": lambda gram: brute_force_short_vectors(gram, -1),
+    "box_short_vectors/bound-1": lambda gram: box_short_vectors(gram, -1),
     "identify_dn_plus": identify_dn_plus,
 }
 
@@ -188,6 +191,98 @@ def test_non_square_gram_is_rejected(entry, gram):
     else:
         with pytest.raises(FormError, match="^Gram matrix must be square$"):
             call(gram)
+
+
+# name -> (call, an integer matrix it takes, whether it takes integers only)
+ENTRY_POLICY = {
+    "det": (mx.det, A2, False),
+    "rank": (mx.rank, ((1, 2), (2, 4), (0, 1)), False),
+    "inverse": (mx.inverse, A2, False),
+    "solve_left": (lambda m: mx.solve_left(m, (1, 0)), A2, False),
+    "invariant_factors": (mx.invariant_factors, ((2, 4), (6, 8), (4, 0)), True),
+    "left_kernel_basis": (mx.left_kernel_basis, ((1, 2), (2, 4), (0, 1)), True),
+    "cokernel_invariants": (lambda m: cokernel_invariants(m, 2), ((2, 4), (6, 8)), True),
+    "dual_gram": (dual_gram, A2, False),
+    "size_reduce": (size_reduce, ((2, 3), (3, 5)), False),
+    "short_vectors": (lambda m: short_vectors(m, 2), A2, False),
+    "short_vectors_with_norms": (lambda m: short_vectors_with_norms(m, 2), A2, False),
+    "box_short_vectors": (lambda m: box_short_vectors(m, 2), A2, False),
+    "brute_force_short_vectors": (lambda m: brute_force_short_vectors(m, 2), A2, False),
+    "identify_dn_plus": (identify_dn_plus, E8, True),
+}
+
+
+def _with_corner(m, x):
+    return ((x, *m[0][1:]), *m[1:])
+
+
+@pytest.mark.parametrize("entry", ENTRY_POLICY)
+@pytest.mark.parametrize("bad", [2.0, "2", True, Decimal(2)], ids=["float", "str", "bool", "Decimal"])
+def test_entries_must_be_exact_numbers(entry, bad):
+    # One gate reads every entry; int() truncated floats and parsed strings.
+    call, m, _ = ENTRY_POLICY[entry]
+    with pytest.raises(TypeError, match="expected an integer"):
+        call(_with_corner(m, bad))
+
+
+@pytest.mark.parametrize("entry", ENTRY_POLICY)
+@pytest.mark.parametrize("kind", [np.int64, Fraction], ids=["int64", "Fraction"])
+def test_integral_entries_give_the_int_answer(entry, kind):
+    # repr, so that a numpy integer left in the answer would show
+    call, m, _ = ENTRY_POLICY[entry]
+    assert repr(call(tuple(tuple(map(kind, row)) for row in m))) == repr(call(m))
+
+
+@pytest.mark.parametrize("entry", [e for e, (_, _, whole) in ENTRY_POLICY.items() if whole])
+def test_integer_only_entry_points_refuse_fractions(entry):
+    call, m, _ = ENTRY_POLICY[entry]
+    half = _with_corner(m, Fraction(1, 2))
+    if entry == "identify_dn_plus":
+        assert call(half) == LatticeIdentification(None, "Gram matrix is not integral")
+    else:
+        with pytest.raises(ValueError):
+            call(half)
+
+
+@pytest.mark.parametrize(
+    "gram,message",
+    [
+        (((2, 0), (0, 2, 7)), "Gram matrix must be square"),
+        (((2, 1), (0, 2)), "Gram matrix must be symmetric"),
+        (((1, 2), (2, 1)), "form is not positive definite"),
+        (((1, 1), (1, 1)), "form is not positive definite"),
+    ],
+    ids=["non-square", "non-symmetric", "indefinite", "singular"],
+)
+def test_box_radii_refuse_what_the_search_refuses(gram, message):
+    for call in (_box_radii, short_vectors):
+        with pytest.raises(FormError, match="^%s$" % message):
+            call(gram, 2)
+
+
+BOUND_ENTRY_POINTS = {
+    "short_vectors": short_vectors,
+    "short_vectors_with_norms": short_vectors_with_norms,
+    "box_short_vectors": box_short_vectors,
+    "brute_force_short_vectors": brute_force_short_vectors,
+}
+
+
+@pytest.mark.parametrize("entry", BOUND_ENTRY_POINTS)
+@pytest.mark.parametrize("bound", [2.5, 0.1, -1.0, "2", True, Decimal(2)])
+def test_bounds_must_be_exact_numbers(entry, bound):
+    with pytest.raises(TypeError, match="expected an integer"):
+        BOUND_ENTRY_POINTS[entry](((2,),), bound)
+
+
+@pytest.mark.parametrize("entry", BOUND_ENTRY_POINTS)
+def test_exact_bounds_pass_unchanged(entry):
+    call = BOUND_ENTRY_POINTS[entry]
+    expected = call(A2, 2)
+    assert len(expected) == 6
+    for bound in (Fraction(2), np.int64(2), Fraction(5, 2)):
+        assert repr(call(A2, bound)) == repr(expected)
+    assert call(A2, Fraction(-1, 2)) == ()
 
 
 @pytest.mark.parametrize(
@@ -471,7 +566,7 @@ def test_search_builds_one_fraction_per_distinct_norm(monkeypatch):
     built = []
     monkeypatch.setattr(lattice, "Fraction", lambda *args: built.append(args) or Fraction(*args))
     vectors = short_vectors(E8, 4)
-    assert len(vectors) == 240 + 2160 and len(built) == 1  # the bound
+    assert len(vectors) == 240 + 2160 and not built  # an int bound stays an int
     found = short_vectors_with_norms(E8, 4)
     assert tuple(v for v, _ in found) == vectors
-    assert len(built) == 1 + 1 + 2  # the bound, then norms 2 and 4
+    assert len(built) == 2  # norms 2 and 4

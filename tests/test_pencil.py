@@ -204,6 +204,24 @@ def test_coefficients_must_be_exact(build, value):
         build(value)
 
 
+@pytest.mark.parametrize("build", [
+    lambda v: PencilCoefficients(v, ((2, 0, 1), (0, 1, 1))),
+    lambda v: PencilCoefficients(1, ((v, 0, 1), (0, 1, 1))),
+    lambda v: PencilCoefficients(1, ((2, 0, 1), (0, v, 1))),
+], ids=["genus", "i", "j"])
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "2"])
+def test_pencil_genus_and_indices_must_be_integers(build, value):
+    # Index 2.0 used to construct and fail later in pencil_equation.
+    with pytest.raises(TypeError, match="expected an integer"):
+        build(value)
+
+
+@pytest.mark.parametrize("value", [1.5, True, "1"])
+def test_double_cover_genus_must_be_an_integer(value):
+    with pytest.raises(TypeError, match="expected an integer"):
+        DoubleCoverCoefficients(value, 1, 1, (1, 1, 1))
+
+
 def test_exact_coefficients_are_kept():
     pc = PencilCoefficients.from_map(1, {(2, 0): Fraction(1, 10), (0, 1): 1})
     assert pc.coefficient(2, 0) == Fraction(1, 10)

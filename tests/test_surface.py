@@ -148,6 +148,16 @@ def test_coefficients_take_numpy_integers():
     assert all(type(c) is int for c in cls.coeffs)
 
 
+@pytest.mark.parametrize("params", [(1.5, 8, 1), (1, 8.0, 1), (1, 8, True), (1, 8, "1")])
+def test_model_parameters_must_be_integers(params):
+    # SurfaceModel(1.5, 8, 1) used to construct, with Delta^2 = -1.5.
+    with pytest.raises(TypeError, match="expected an integer"):
+        SurfaceModel(*params)
+    model = SurfaceModel(*map(np.int64, (1, 8, 1)))
+    assert model == SurfaceModel(1, 8, 1)
+    assert all(type(x) is int for x in (model.d, model.n, model.g))
+
+
 def test_str_form():
     model = SurfaceModel.maximal(1)
     assert str(delta(model)) == "Delta"
