@@ -21,19 +21,23 @@ Two interchangeable backends exist:
 
       q1(a) + q2(b) + 2 a G12 b^T.
 
-  Every head point and every tail point is built once, with its own norm;
-  a tile of head rows then gets all its norms from one float64 matrix
-  product against the tail points.  Only the lexicographically positive
-  half is scanned (a positive, or a = 0 and b positive) and mirrored.
+  Every head point and every tail point is built once, with its own norm.
+  With the limit floor(tn / td) folded in, norm - limit is the product of
+  the rows [2 a G12 | q1(a) - limit | 1] and the columns [b | 1 | q2(b)],
+  so a tile of head rows gets all its comparisons from one float64 matrix
+  product, read by its sign with one flat ``flatnonzero``.  Only the
+  lexicographically positive half is scanned (a positive, or a = 0 and b
+  positive) and mirrored.
 * ``python``: direct product loop in arbitrary precision, the reference.
 
 Every box point is evaluated exactly; nothing is pruned.  The numpy scan
 runs only on boxes that pass an overflow precheck: |tn| < 2^50 and
 td * sum_ij |g_ij| r_i r_j < 2^50 for the integer Gram (g_ij), the radii
-r_i and the scaled bound tn/td.  Every partial sum of a norm, in any
-summation order, is then an integer below 2^51, which float64 holds
-exactly.  Any other box goes to the python backend, so the result never
-depends on the backend.
+r_i and the scaled bound tn/td.  Every partial sum of norm - limit, in
+any summation order, is then an integer of size at most
+td * sum_ij |g_ij| r_i r_j + |limit| < 2^51, which float64 holds exactly.
+Any other box goes to the python backend, so the result never depends on
+the backend.
 """
 
 from __future__ import annotations
@@ -114,10 +118,13 @@ def _enumerate_numpy(gram, radii, tn, td):
     a = a[len(a) // 2 + 1:]  # lexicographically positive heads
     q1 = _np.einsum("ij,jk,ik->i", a, g[:h, :h], a)
     q2 = _np.einsum("ij,jk,ik->i", b, g[h:, h:], b)
-    cross = 2 * a @ g[:h, h:]
     # norm(a, b) = q1(a) + q2(b) + 2 a G12 b is an integer for integer
     # points, so td * norm <= tn is norm <= floor(tn / td).
     limit = tn // td
+    # norm(a, b) - limit = [2 a G12 | q1(a) - limit | 1] . [b | 1 | q2(b)],
+    # one product per tile, read in place by its sign.
+    left = _np.column_stack([2 * a @ g[:h, h:], q1 - limit, _np.ones(len(a))])
+    right = _np.column_stack([b, _np.ones(len(b)), q2]).T
     # a = 0 with b lexicographically positive; then every positive head
     # against all of B, one tile of rows at a time.  Mirror at the end.
     zero = len(b) // 2
@@ -125,10 +132,7 @@ def _enumerate_numpy(gram, radii, tn, td):
     hits = [_np.hstack([_np.zeros((len(tails), h)), b[tails]])]
     rows = max(1, _TILE // len(b))
     for start in range(0, len(a), rows):
-        stop = start + rows
-        norms = cross[start:stop] @ b.T
-        norms += q2
-        i, j = _np.nonzero(norms <= (limit - q1[start:stop])[:, None])
+        i, j = divmod(_np.flatnonzero(left[start:start + rows] @ right <= 0), len(b))
         hits.append(_np.hstack([a[start + i], b[j]]))
     found = _np.concatenate(hits).astype(_np.int64)
     return [tuple(v) for v in _np.concatenate([found, -found]).tolist()]

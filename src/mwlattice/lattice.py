@@ -6,23 +6,31 @@ determinants are integers or rationals, short vectors come from an
 integer Fincke-Pohst search, and quotient groups are read off Smith normal
 forms.
 
-The search scales a rational Gram matrix to integers once and factors it
-fraction-free (Bareiss): the leading principal minors D_0 = 1, D_1, ..., D_n
-and integer numerators N_ij give the LDL data d_i = D_{i+1} / D_i and
-r_ij = N_ij / D_{i+1}, so that with L = lcm_i(D_i D_{i+1})
+The search scales a rational Gram matrix to integers, s G, once and factors
+it fraction-free (Bareiss): the leading principal minors D_0 = 1, D_1, ...,
+D_n and integer numerators N_ij give the LDL data d_i = D_{i+1} / D_i and
+r_ij = N_ij / D_{i+1}, with N_ii = D_{i+1}.  Each level divides its row by
+g_i = gcd_j N_ij, giving piv_i = D_{i+1} / g_i and row_ij = N_ij / g_i, and
+puts its weight g_i^2 / (D_i D_{i+1} s) in lowest terms u_i / v_i; with
+L = lcm_i(v_i),
 
-    L * x G x^T = sum_i c_i (x_i D_{i+1} + sum_{j>i} N_ij x_j)^2,
-    c_i = L / (D_i D_{i+1}),
+    L * x G x^T = sum_i c_i (x_i piv_i + sum_{j>i} row_ij x_j)^2,
+    c_i = u_i L / v_i,
 
-a sum of integer squares with integer weights.  The search then needs only
-integer square roots.  It runs level by level, i = n-1 down to 0, on a
-frontier of partial vectors (x_{i+1}, ..., x_{n-1}) and their remaining
-integer budgets: one array step per level gives each partial vector its
-admissible x_i and so builds the next frontier.  The arrays are int64
-while a guard, worked out in exact integers before each level from the
-LDL data, the budget and the frontier's largest coordinates, proves that
-no intermediate of that level reaches 2^62; from the first level it
-cannot, the same loop runs on Python integers.
+a sum of integer squares with integer weights.  The minors of s G carry
+powers of s that the gcds and the lowest terms cancel, so the budget
+L * bound of a rational dual Gram matrix stays small: at most 38 bits over
+the benchmark's survey and ladder scenarios at seeds 0..3, where the
+unreduced weights gave up to 86.  The search then needs only integer
+square roots.  It runs level by level, i = n-1 down to 0, on a frontier of
+partial vectors (x_{i+1}, ..., x_{n-1}) and their remaining integer
+budgets: one array step per level gives each partial vector its admissible
+x_i and so builds the next frontier.  The arrays are int64 while a guard,
+worked out in exact integers before each level from the level data, the
+budget and the frontier's largest coordinates, proves that no intermediate
+of that level reaches 2^62; from the first level it cannot, the same loop
+runs on Python integers, as for the norm-1 vectors (+-2^70, -+1) of
+((1, 2^70), (2^70, 2^140 + 1)).
 """
 
 from __future__ import annotations
@@ -136,10 +144,11 @@ class IntegerLattice:
 
 
 def gram_matrix(form: Sequence[Sequence[int]], rows: Sequence[Sequence[int]]):
-    """Gram matrix B F B^T of the given rows under the ambient form."""
+    """Gram matrix B F B^T of the given integer rows under the integer form."""
+    rows = mx.int_matrix(rows)
     if not rows:
         return ()
-    return mx.matmul(mx.matmul(rows, form), mx.transpose(rows))
+    return mx.matmul(mx.matmul(rows, mx.int_matrix(form)), mx.transpose(rows))
 
 
 def cokernel_invariants(rows: Sequence[Sequence[int]], ambient_rank: int) -> AbelianGroupInvariants:
@@ -275,10 +284,16 @@ def _search(gram, bound):
         return (), [], 0, 1
     igram, scale = mx.as_integer_matrix(gram)
     minors, num = _bareiss_ldl(igram)
-    weight = math.lcm(*(minors[i] * minors[i + 1] for i in range(n)))
-    c = [weight // (minors[i] * minors[i + 1]) for i in range(n)]
-    # x G x^T <= bound  <=>  weight * x igram x^T <= top, both sides integers.
-    unit = weight * scale
+    # Level i keeps t_i = sum_{j>=i} N_ij x_j / g_i, g_i the gcd of its row,
+    # with the weight u_i / v_i = g_i^2 / (D_i D_{i+1} scale) in lowest terms.
+    levels = []
+    for i in range(n):
+        g = math.gcd(*num[i][i:])
+        u, v = g * g, minors[i] * minors[i + 1] * scale
+        k = math.gcd(u, v)
+        levels.append((u // k, v // k, [x // g for x in num[i][i:]]))
+    unit = math.lcm(*(v for _, v, _ in levels))
+    # x G x^T <= bound  <=>  sum_i c_i t_i^2 <= top, both sides integers.
     top = bound.numerator * unit // bound.denominator
     # The frontier: one row of ``xs`` per partial vector (x_{i+1}, ...,
     # x_{n-1} set, the rest 0) and its remaining budget.  It widens to
@@ -288,12 +303,13 @@ def _search(gram, bound):
     rem = np.array([top], dtype=xs.dtype)
     colmax: list[int] = []  # max |x_j| for j > i, as column j was set
     for i in range(n - 1, -1, -1):
-        ci, piv, row = c[i], minors[i + 1], num[i][i + 1:]
+        u, v, (piv, *row) = levels[i]
+        ci = u * (unit // v)
         if not wide and _level_reach(top, ci, piv, row, colmax) >= _INT64_LIMIT:
             wide = True
             xs, rem = xs.astype(object), rem.astype(object)
         s = xs[:, i + 1:] @ np.array(row, dtype=xs.dtype)
-        # |x_i D_{i+1} + s| <= m  with  m = floor(sqrt(rem / c_i)).
+        # |t_i| = |x_i piv_i + s| <= m  with  m = floor(sqrt(rem / c_i)).
         m = (_isqrt if wide else _isqrt64)(rem // ci)
         lo = -((m + s) // piv)
         counts = ((m - s) // piv + 1 - lo).astype(np.intp)
@@ -319,10 +335,10 @@ def _level_reach(top, ci, piv, row, colmax) -> int:
     """Bound on every magnitude one int64 level of the search computes.
 
     ``colmax`` bounds the frontier's set coordinates |x_j| and ``row``
-    holds the N_ij (j > i) they meet.  With S = sum_j colmax_j |N_ij| and
-    M = isqrt(top // c_i): |s| and its partial sums are <= S, m <= M,
-    |m +- s| and |x_i D_{i+1}| <= M + S, |t| <= M, |c_i t| <= c_i M,
-    c_i t^2 and every budget are <= top, and D_{i+1}, c_i and N_ij are
+    holds the row_ij (j > i) they meet.  With S = sum_j colmax_j |row_ij|
+    and M = isqrt(top // c_i): |s| and its partial sums are <= S, m <= M,
+    |m +- s| and |x_i piv_i| <= M + S, |t| <= M, |c_i t| <= c_i M,
+    c_i t^2 and every budget are <= top, and piv_i, c_i and row_ij are
     operands themselves.  Below the limit 2^62, a sum of two such terms,
     as in the child count hi + 1 - lo, still fits in int64.
     """
@@ -332,11 +348,13 @@ def _level_reach(top, ci, piv, row, colmax) -> int:
 
 
 def vector_norms(gram, vectors):
-    g = mx.mat(gram)
-    out = []
-    for v in vectors:
-        out.append(sum(v[i] * g[i][j] * v[j] for i in range(len(v)) for j in range(len(v))))
-    return tuple(out)
+    """The norms v G v^T of integer vectors: ints for an integral Gram
+    matrix, Fractions for a rational one."""
+    igram, scale = mx.as_integer_matrix(gram)
+    norms = (sum(x * y for x, y in zip(v, mx.mat_vec(igram, v))) for v in mx.int_matrix(vectors))
+    if scale == 1:
+        return tuple(norms)
+    return tuple(Fraction(q, scale) for q in norms)
 
 
 def size_reduce(gram):

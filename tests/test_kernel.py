@@ -1,5 +1,6 @@
 """The two enumeration backends must be indistinguishable."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -13,7 +14,9 @@ from mwlattice import matrices as mx
 from mwlattice import oracles
 from mwlattice import boxenum
 from mwlattice.boxenum import (
+    _box_fits_int64,
     _box_radii,
+    _enumerate_numpy,
     _head_size,
     box_short_vectors,
     enumeration_backend,
@@ -254,6 +257,39 @@ def test_tiled_scan_many_tiles(monkeypatch):
     for _ in range(20):
         gram = _random_gram(rng, rng.randint(2, 4))
         _numpy_matches_python(monkeypatch, gram, rng.randint(1, 8))
+
+
+def test_tiled_scan_output_is_pinned(monkeypatch):
+    # D_5 at bound 6: radii (2, 3, 4, 2, 2), a head of two coordinates, 17
+    # positive heads against 225 tails, two head rows a tile and a partial
+    # last tile.  The hash is of the list the scan returned before q2(b) and
+    # the limit were folded into the tile's product, order included.
+    d5 = ((2, -1, 0, 0, 0), (-1, 2, -1, 0, 0), (0, -1, 2, -1, -1), (0, 0, -1, 2, 0),
+          (0, 0, -1, 0, 2))
+    radii = _box_radii(d5, 6)
+    assert radii == [2, 3, 4, 2, 2] and _head_size(radii) == 2
+    monkeypatch.setattr(boxenum, "_TILE", 512)
+    found = _enumerate_numpy(d5, radii, 6, 1)
+    assert len(found) == 370
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == (
+        "cd1797697613112a0bd7696bc0ff63b6455bfda159b098b3ff78197d594bb960")
+    assert tuple(sorted(found)) == short_vectors(d5, 6)
+
+
+@pytest.mark.parametrize("below", [0, 1], ids=["on-bound", "above-bound"])
+def test_tiled_scan_at_the_precheck_edge(monkeypatch, below):
+    # Radii (1, 1) and td * sum |g_ij| r_i r_j = 10 k = 2^50 - 4, just inside
+    # the precheck, and so is the bound.  (1, -1) has norm exactly 10 k: the
+    # terms of its product reach 2^50 and the sum is 0 or 1.
+    k = ((1 << 50) - 1) // 10
+    gram = ((4 * k, -k), (-k, 4 * k))
+    bound = 10 * k - below
+    radii = _box_radii(gram, bound)
+    assert radii == [1, 1]
+    assert (1 << 50) - 10 * k == 4 and _box_fits_int64(gram, radii, bound, 1)
+    got = _numpy_matches_python(monkeypatch, gram, bound)
+    assert ((1, -1) in got) == (below == 0)
+    assert len(got) == 8 - 2 * below
 
 
 @st.composite

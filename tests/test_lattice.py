@@ -209,6 +209,8 @@ ENTRY_POLICY = {
     "box_short_vectors": (lambda m: box_short_vectors(m, 2), A2, False),
     "brute_force_short_vectors": (lambda m: brute_force_short_vectors(m, 2), A2, False),
     "identify_dn_plus": (identify_dn_plus, E8, True),
+    "vector_norms": (lambda m: vector_norms(m, ((1, 0), (1, 1))), A2, False),
+    "gram_matrix": (lambda m: gram_matrix(m, ((1, 0), (1, 1))), A2, True),
 }
 
 
@@ -546,18 +548,33 @@ def test_search_square_root_at_float_rounding(k):
     assert short_vectors_with_norms(gram, k) == (((-1,), k), ((1,), k))
 
 
-def test_search_with_a_budget_beyond_int64():
-    # The shape of a rank-8 dual Gram matrix of the survey workload: its
-    # integer budget at bound 2 is about 2^74, so the search starts on
-    # Python integers.
+def test_survey_shaped_search_stays_in_int64():
+    # The shape of a rank-8 dual Gram matrix of the survey workload.  Scaled
+    # to integers without reduction its budget at bound 2 was about 2^75;
+    # with each level divided by its gcd and its weight in lowest terms it
+    # is 34 bits.
     gram = [[Fraction(1 + (i == j)) for j in range(8)] for i in range(8)]
     for j in range(1, 8):
         gram[0][j] = gram[j][0] = Fraction(7)
     gram[0][0], gram[6][6] = Fraction(46), Fraction(10, 9)
-    assert lattice._search(gram, 2)[2] >= 1 << 62
+    assert lattice._search(gram, 2)[2] < 1 << 62
     found = short_vectors_with_norms(gram, 2)
     vectors = tuple(v for v, _ in found)
     assert len(vectors) == 400
+    assert vectors == brute_force_short_vectors(gram, 2)
+    assert tuple(nv for _, nv in found) == vector_norms(gram, vectors)
+
+
+def test_search_with_a_budget_beyond_int64():
+    # Weights (p+1)/p and (q+1)/q with coprime denominators near 2^61 and
+    # 2^31: the budget 2 * lcm(p, q) is 93 bits, so the search starts on
+    # Python integers.
+    p, q = (1 << 61) - 1, (1 << 31) - 1
+    gram = ((Fraction(p + 1, p), 0), (0, Fraction(q + 1, q)))
+    assert lattice._search(gram, 2)[2].bit_length() == 93
+    found = short_vectors_with_norms(gram, 2)
+    vectors = tuple(v for v, _ in found)
+    assert vectors == ((-1, 0), (0, -1), (0, 1), (1, 0))
     assert vectors == brute_force_short_vectors(gram, 2)
     assert tuple(nv for _, nv in found) == vector_norms(gram, vectors)
 

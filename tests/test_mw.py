@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from mwlattice import lattice
 from mwlattice import matrices as mx
 from mwlattice.catalog import build_catalog, catalog_entry
 from mwlattice.errors import FormError, InvalidModelError
@@ -233,6 +234,22 @@ def test_lattice_path_is_pinned():
     assert len(rows) == 38
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
         "06e2e7a73e9232f20c2168d4abf79c8f67ee2d484981a432a9e3035b6f9d343f")
+
+
+def test_mwl_searches_stay_in_int64(monkeypatch):
+    """The search of every catalog, maximal (g = 1..5, every d) and seeded
+    cycle scenario runs in int64: its budget is below 2^62 and no level's
+    guard reaches 2^62.  The budget is checked on its own because a search
+    that starts on Python integers never consults the guard."""
+    scenarios = [entry.scenario for entry in build_catalog()]
+    scenarios += [scenario_all_irreducible(g, d) for g in range(1, 6) for d in range(g + 2)]
+    scenarios += [seeded_transformable_scenario(g, seed) for g in (1, 2, 3) for seed in range(4)]
+    reaches = []
+    real = lattice._level_reach
+    monkeypatch.setattr(lattice, "_level_reach", lambda *a: reaches.append(real(*a)) or reaches[-1])
+    budgets = [lattice._search(gram, 2)[2] for gram in (mwl(sc).gram for sc in scenarios) if gram]
+    assert len(budgets) == 48 and max(budgets) < 1 << 62
+    assert reaches and max(reaches) < 1 << 62
 
 
 def test_mwl_degenerate_complement_raises():
