@@ -19,10 +19,8 @@ L = lcm_i(v_i),
 
 a sum of integer squares with integer weights.  The minors of s G carry
 powers of s that the gcds and the lowest terms cancel, so the budget
-L * bound of a rational dual Gram matrix stays small: at most 38 bits over
-the benchmark's survey and ladder scenarios at seeds 0..3, where the
-unreduced weights gave up to 86.  The search then needs only integer
-square roots.  It runs level by level, i = n-1 down to 0, on a frontier of
+L * bound of a rational dual Gram matrix stays small.  The search then
+needs only integer square roots.  It runs level by level, i = n-1 down to 0, on a frontier of
 partial vectors (x_{i+1}, ..., x_{n-1}) and their remaining integer
 budgets: one array step per level gives each partial vector its admissible
 x_i and so builds the next frontier.  The arrays are int64 while a guard,

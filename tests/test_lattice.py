@@ -538,21 +538,29 @@ def test_search_bounds_partial_sums_by_the_coordinates(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [1 << 27, (1 << 27) + 1, 3037000499, 3037000500, 1 << 32])
-def test_search_square_root_at_float_rounding(k):
-    # The budget is k^2 - 1 at the only level, and the float64 root of
-    # k^2 - 1 rounds to k: x = +-1 (norm k) lies just outside the bound.
-    # The last three put the budget between 2^62 and 2^63, just above 2^63
-    # and just below 2^64.
-    gram = ((k,),)
+def test_search_square_root_at_float_rounding(monkeypatch, k):
+    # ((k, 1), (1, k + 1)): the gcd of level 0's row (k, 1) is 1, so its
+    # pivot stays k, its weight is 1/k and the unit is k.  At bound
+    # (k^2 - 1) / k the budget is k^2 - 1, level 1 admits only x_1 = 0, and
+    # level 0 takes the root of k^2 - 1, whose float64 root rounds to k:
+    # x = +-(1, 0) (norm k) lies just outside the bound.  The last three
+    # put the budget between 2^62 and 2^63, just above 2^63 and just below
+    # 2^64.
+    gram = ((k, 1), (1, k + 1))
+    roots = []
+    for name in ("_isqrt", "_isqrt64"):
+        root = getattr(lattice, name)
+        monkeypatch.setattr(lattice, name, lambda q, root=root: roots.append(int(q.max())) or root(q))
     assert short_vectors_with_norms(gram, Fraction(k * k - 1, k)) == ()
-    assert short_vectors_with_norms(gram, k) == (((-1,), k), ((1,), k))
+    assert max(roots) == k * k - 1
+    assert lattice._search(gram, Fraction(k * k - 1, k))[2:] == (k * k - 1, k)
+    assert short_vectors_with_norms(gram, k) == (((-1, 0), k), ((1, 0), k))
 
 
 def test_survey_shaped_search_stays_in_int64():
-    # The shape of a rank-8 dual Gram matrix of the survey workload.  Scaled
-    # to integers without reduction its budget at bound 2 was about 2^75;
-    # with each level divided by its gcd and its weight in lowest terms it
-    # is 34 bits.
+    # The shape of a rank-8 dual Gram matrix of the survey workload: the
+    # gcds and the lowest terms cancel the powers of the scale that its
+    # minors carry, so its budget at bound 2 fits in int64.
     gram = [[Fraction(1 + (i == j)) for j in range(8)] for i in range(8)]
     for j in range(1, 8):
         gram[0][j] = gram[j][0] = Fraction(7)
