@@ -1,10 +1,11 @@
-"""Integer lattices with a fixed ambient bilinear form.
+"""Integer lattices as plain rows under an ambient bilinear form.
 
-An :class:`IntegerLattice` is a free subgroup of Z^N given by basis rows,
-together with the Gram matrix of the ambient form.  Everything is exact:
-determinants are integers or rationals, short vectors come from an
-integer Fincke-Pohst search, and quotient groups are read off Smith normal
-forms.
+A sublattice of Z^N is a tuple of integer basis rows; with the ambient
+form F, its Gram matrix is B F B^T (``gram_matrix``) and its orthogonal
+complement is again a tuple of rows (``orthogonal_complement``).
+Everything is exact: determinants are integers or rationals, short vectors
+come from an integer Fincke-Pohst search, and quotient groups are read off
+Smith normal forms.
 
 The search scales a rational Gram matrix to integers, s G, once and factors
 it fraction-free (Bareiss): the leading principal minors D_0 = 1, D_1, ...,
@@ -103,44 +104,6 @@ class AbelianGroupInvariants:
         return " x ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class IntegerLattice:
-    """Sublattice of Z^N spanned by ``basis`` rows, with ambient Gram ``form``."""
-
-    basis: mx.IntMatrix
-    form: mx.IntMatrix
-
-    def __post_init__(self):
-        object.__setattr__(self, "basis", mx.int_matrix(self.basis))
-        object.__setattr__(self, "form", mx.int_matrix(self.form))
-        n = len(self.form)
-        if any(len(row) != n for row in self.form):
-            raise FormError("ambient form must be square")
-        for i in range(n):
-            for j in range(i):
-                if self.form[i][j] != self.form[j][i]:
-                    raise FormError("ambient form must be symmetric")
-        for row in self.basis:
-            if len(row) != n:
-                raise FormError("basis rows must match the ambient rank")
-        if self.basis and mx.rank(self.basis) != len(self.basis):
-            raise FormError("basis rows are linearly dependent")
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-    @property
-    def ambient_rank(self) -> int:
-        return len(self.form)
-
-    def gram(self) -> mx.IntMatrix:
-        return gram_matrix(self.form, self.basis)
-
-    def determinant(self):
-        return mx.det(self.gram())
-
-
 def gram_matrix(form: Sequence[Sequence[int]], rows: Sequence[Sequence[int]]):
     """Gram matrix B F B^T of the given integer rows under the integer form."""
     rows = mx.int_matrix(rows)
@@ -164,13 +127,24 @@ def _group_from_factors(ambient_rank: int, factors: Sequence[int]) -> AbelianGro
     return AbelianGroupInvariants(ambient_rank - len(factors), torsion)
 
 
-def orthogonal_complement(sub: IntegerLattice) -> IntegerLattice:
-    """Saturated sublattice of Z^N orthogonal to ``sub`` under its form."""
-    if sub.rank == 0:
-        return IntegerLattice(mx.identity(sub.ambient_rank), sub.form)
-    constraint = mx.matmul(sub.form, mx.transpose(sub.basis))
-    kernel = mx.left_kernel_basis(constraint)
-    return IntegerLattice(kernel, sub.form)
+def orthogonal_complement(
+    basis: Sequence[Sequence[int]], form: Sequence[Sequence[int]]
+) -> mx.IntMatrix:
+    """Basis rows of the saturated sublattice of Z^N orthogonal to ``basis``.
+
+    ``form`` is the symmetric N x N ambient form.  Dependent rows span the
+    same space, so they have the same complement; an empty basis gives I_N.
+    """
+    form = mx.int_matrix(form)
+    n = len(form)
+    if any(len(row) != n for row in form):
+        raise FormError("ambient form must be square")
+    if any(form[i][j] != form[j][i] for i in range(n) for j in range(i)):
+        raise FormError("ambient form must be symmetric")
+    basis = mx.int_matrix(basis)
+    if any(len(row) != n for row in basis):
+        raise FormError("basis rows must match the ambient rank")
+    return mx.left_kernel_basis(mx.matmul(form, mx.transpose(basis)))
 
 
 def dual_gram(gram: Sequence[Sequence]):
@@ -189,6 +163,12 @@ def _check_square(gram) -> None:
         raise FormError("Gram matrix must be square")
 
 
+def _check_symmetric(gram) -> None:
+    n = len(gram)
+    if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
+        raise FormError("Gram matrix must be symmetric")
+
+
 def _bareiss_ldl(igram: mx.IntMatrix) -> tuple[tuple[int, ...], list[list[int]]]:
     """Fraction-free LDL data of a positive definite integer Gram matrix.
 
@@ -198,11 +178,8 @@ def _bareiss_ldl(igram: mx.IntMatrix) -> tuple[tuple[int, ...], list[list[int]]]
     definite.
     """
     _check_square(igram)
+    _check_symmetric(igram)
     n = len(igram)
-    for i in range(n):
-        for j in range(i):
-            if igram[i][j] != igram[j][i]:
-                raise FormError("Gram matrix must be symmetric")
     a = [list(row) for row in igram]
     minors = [1]
     for k in range(n):
@@ -366,10 +343,12 @@ def size_reduce(gram):
     The loop runs on the Gram matrix scaled to integers: every decision it
     takes (a quotient rounded half to even, a comparison of norms, an order
     by norm) is the same for s G as for G, so only the reduced Gram matrix
-    is divided by the scale s at the end.
+    is divided by the scale s at the end.  Raises FormError when the Gram
+    matrix is not square and symmetric.
     """
     _check_square(gram)
     igram, scale = mx.as_integer_matrix(gram)
+    _check_symmetric(igram)
     g = [list(row) for row in igram]
     n = len(g)
     t = [list(row) for row in mx.identity(n)]

@@ -14,7 +14,8 @@ intermediate entry is a minor of the scaled matrix, so all divisions are
 exact integer divisions and no ``Fraction`` is built until the result.
 ``_bareiss`` is the Gauss-Jordan one: ``det``, ``inverse``, ``rank``,
 ``solve_left``, ``lattice.dual_gram``, ``fibers.fiber_multiplicities`` and
-``boxenum._box_radii`` run it.  ``lattice._bareiss_ldl`` is the symmetric
+``boxenum._box_radii`` run it; ``mw.mwl`` runs it at most twice, in ``det`` of
+T's Gram matrix and in ``dual_gram``.  ``lattice._bareiss_ldl`` is the symmetric
 LDL one: the Fincke-Pohst search runs on its data, and it is the check,
 shared with the box oracle, that a Gram matrix is positive definite.
 

@@ -9,8 +9,10 @@ is positive definite whenever the scenario is consistent.
 
 ``mwl`` reduces the generator matrix once, with its row transform U: the
 invariant factors give the group, and the leading rows of U times the
-generators a basis of T.  ``mw_group`` needs only the factors and takes
-the cheaper route of ``lattice.cokernel_invariants``.
+generators a basis of T.  T's basis and its complement stay plain integer
+rows: the rows are independent by construction, so a rank is a row count
+and no further elimination checks it.  ``mw_group`` needs only the factors
+and takes the cheaper route of ``lattice.cokernel_invariants``.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from .fibers import (
 )
 from .lattice import (
     AbelianGroupInvariants,
-    IntegerLattice,
     _group_from_factors,
     cokernel_invariants,
     dual_gram,
+    gram_matrix,
     orthogonal_complement,
     short_vectors_with_norms,
 )
@@ -86,19 +88,20 @@ def mwl(scenario: Scenario) -> MWLReport:
     search up to norm 2 gives both the root count and the D_n^+ check; it
     raises FormError unless the lattice is positive definite.  The group
     and T's basis come from one Smith reduction of T's generators (see the
-    module docstring).
+    module docstring); the complement is the left kernel of F B^T, with F
+    the sign-flipped intersection form and B T's basis, and the two Gram
+    matrices are B F B^T and C F C^T of those rows.
     """
     gens = trivial_lattice_generators(scenario)
     u, factors = mx._smith_reduce(gens, track=True)
     group = _group_from_factors(scenario.model.rank, factors)
-    t_neg = IntegerLattice(
-        mx.matmul(u[:len(factors)], gens), scenario.model.neg_intersection_matrix()
-    )
-    t_gram = t_neg.gram()
+    form = scenario.model.neg_intersection_matrix()
+    t_basis = mx.matmul(u[:len(factors)], gens)
+    t_gram = gram_matrix(form, t_basis)
     t_disc = abs(mx.det(t_gram)) if t_gram else Fraction(1)
-    complement = orthogonal_complement(t_neg)
-    if complement.rank:
-        dual, c_disc = dual_gram(complement.gram())
+    complement = orthogonal_complement(t_basis, form)
+    if complement:
+        dual, c_disc = dual_gram(gram_matrix(form, complement))
         discriminant = Fraction(1) / c_disc
         found = short_vectors_with_norms(dual, 2)
         root_count = sum(1 for _, nv in found if nv == 2)
@@ -107,17 +110,17 @@ def mwl(scenario: Scenario) -> MWLReport:
         dual, discriminant = (), Fraction(1)
         root_count = 0
         identification = LatticeIdentification(None, "rank is 0")
-    if group.free_rank != complement.rank:
+    if group.free_rank != len(complement):
         raise FormError(
             "complement rank %d does not match Mordell-Weil rank %d"
-            % (complement.rank, group.free_rank)
+            % (len(complement), group.free_rank)
         )
     return MWLReport(
         scenario=scenario.name,
         group=group,
-        trivial_rank=t_neg.rank,
+        trivial_rank=len(t_basis),
         trivial_discriminant=Fraction(t_disc),
-        rank=complement.rank,
+        rank=len(complement),
         gram=dual,
         discriminant=Fraction(discriminant),
         root_count=root_count,

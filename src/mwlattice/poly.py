@@ -48,6 +48,11 @@ def _index(var: str) -> int:
         raise ValueError("unknown variable %r" % (var,)) from None
 
 
+def _graded_order(exponents) -> list[Exponent]:
+    """Exponent vectors by total degree, then lexicographically descending."""
+    return sorted(exponents, key=lambda e: (sum(e), tuple(-x for x in e)))
+
+
 def _rational(value) -> Fraction:
     """An exact coefficient: an int or a Fraction, as in the ring operations.
 
@@ -243,7 +248,7 @@ class SparsePoly:
         if not terms:
             return "0"
         parts = []
-        for exp in sorted(terms, key=lambda e: (sum(e), tuple(-x for x in e))):
+        for exp in _graded_order(terms):
             coef = terms[exp]
             mono = "*".join(
                 v if p == 1 else "%s^%d" % (v, p)

@@ -237,15 +237,14 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
         model.n == 4 * g + 4,
         "rho = %d, expected %d" % (model.rho, 4 * g + 6),
     )
-    add("fiber_self_intersection", intersect(f, f) == 0, "F.F = %d" % intersect(f, f))
-    kf = intersect(canonical_class(model), f)
+    ff = intersect(f, f)
+    add("fiber_self_intersection", ff == 0, "F.F = %d" % ff)
+    k_class = canonical_class(model)
+    kf = intersect(k_class, f)
     add("fiber_canonical_degree", kf == 2 * g - 2, "K.F = %d" % kf)
-    adj = canonical_class(model) + f
-    add(
-        "adjoint_class_square",
-        intersect(adj, adj) == 0,
-        "(K+F).(K+F) = %d" % intersect(adj, adj),
-    )
+    adj = k_class + f
+    adj_square = intersect(adj, adj)
+    add("adjoint_class_square", adj_square == 0, "(K+F).(K+F) = %d" % adj_square)
     try:
         pa = adjunction_genus(f)
         add("fiber_genus", pa == g, "adjunction genus %d" % pa)
@@ -278,11 +277,11 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
         except MWLatticeError as exc:
             add("fiber_%d_multiplicities" % k, False, str(exc))
         try:
-            graph = dual_graph(fib.components)
+            connected = dual_graph(fib.components).is_connected()
             add(
                 "fiber_%d_dual_graph" % k,
-                graph.is_connected(),
-                "" if graph.is_connected() else "dual graph is disconnected",
+                connected,
+                "" if connected else "dual graph is disconnected",
             )
         except MWLatticeError as exc:
             add("fiber_%d_dual_graph" % k, False, str(exc))

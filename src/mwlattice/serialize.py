@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import InputFormatError, MWLatticeError
 from .pencil import DoubleCoverCoefficients, PencilCoefficients
-from .poly import SparsePoly
+from .poly import SparsePoly, _graded_order
 
 
 def frac_to_json(value):
@@ -41,8 +41,7 @@ def matrix_to_json(rows) -> list:
 
 def poly_to_json(p: SparsePoly) -> list:
     terms = p.terms
-    order = sorted(terms, key=lambda e: (sum(e), tuple(-x for x in e)))
-    return [{"exp": list(e), "coef": frac_to_json(terms[e])} for e in order]
+    return [{"exp": list(e), "coef": frac_to_json(terms[e])} for e in _graded_order(terms)]
 
 
 def poly_from_json(obj) -> SparsePoly:

@@ -16,3 +16,5 @@ def test_retired_names_stay_retired():
     for name in ("trivial_lattice", "mw_torsion", "mw_rank_formula"):
         assert name not in mwlattice.__all__
         assert not hasattr(mwlattice, name)
+    # ``mwl`` and ``orthogonal_complement`` work on plain integer rows.
+    assert not hasattr(mwlattice.lattice, "IntegerLattice")

@@ -16,7 +16,6 @@ from mwlattice.errors import FormError
 from mwlattice.lattice import (
     AbelianGroupInvariants,
     _round_quotient,
-    IntegerLattice,
     cokernel_invariants,
     dual_gram,
     gram_matrix,
@@ -96,28 +95,36 @@ def test_cokernel_invariants():
     assert (g.free_rank, g.torsion) == (4, ())
 
 
-def test_integer_lattice_basic():
-    form = ((1, 0), (0, 1))
-    lat = IntegerLattice(((1, 1),), form)
-    assert lat.rank == 1
-    assert lat.ambient_rank == 2
-    assert lat.gram() == ((2,),)
-    assert lat.determinant() == 2
-    with pytest.raises(FormError):
-        IntegerLattice(((1, 1), (2, 2)), form)
-    with pytest.raises(FormError):
-        IntegerLattice((), ((0, 1), (2, 0)))
-
-
 def test_orthogonal_complement_hyperbolic():
     # ambient form with a hyperbolic plane and one (-1) vector
     form = ((0, 1, 0), (1, 0, 0), (0, 0, -1))
-    sub = IntegerLattice(((1, 0, 0),), form)
-    comp = orthogonal_complement(sub)
+    comp = orthogonal_complement(((1, 0, 0),), form)
     # x.(1,0,0) = x_2 = 0 under this form
-    assert comp.rank == 2
-    for row in comp.basis:
+    assert len(comp) == 2
+    for row in comp:
         assert gram_matrix(form, (row, (1, 0, 0)))[0][1] == 0
+
+
+@pytest.mark.parametrize(
+    "basis,form,message",
+    [
+        (((1, 1),), ((1, 0), (0, 1), (0, 0)), "ambient form must be square"),
+        ((), ((0, 1), (2, 0)), "ambient form must be symmetric"),
+        (((1, 1, 0),), mx.identity(2), "basis rows must match the ambient rank"),
+    ],
+    ids=["non-square", "asymmetric", "row-length"],
+)
+def test_orthogonal_complement_refuses_bad_input(basis, form, message):
+    with pytest.raises(FormError, match="^%s$" % message):
+        orthogonal_complement(basis, form)
+
+
+def test_orthogonal_complement_of_dependent_rows_is_that_of_their_span():
+    form = mx.identity(2)
+    assert orthogonal_complement(((1, 1), (2, 2)), form) == ((-1, 1),)
+    assert orthogonal_complement(((1, 1),), form) == ((-1, 1),)
+    assert orthogonal_complement((), mx.identity(3)) == mx.identity(3)
+    assert gram_matrix(form, ((1, 1),)) == ((2,),)
 
 
 def test_dual_gram():
@@ -257,7 +264,11 @@ def test_integer_only_entry_points_refuse_fractions(entry):
     ids=["non-square", "non-symmetric", "indefinite", "singular"],
 )
 def test_box_radii_refuse_what_the_search_refuses(gram, message):
-    for call in (_box_radii, short_vectors):
+    calls = [_box_radii, short_vectors]
+    if message.startswith("Gram matrix"):
+        # size_reduce needs a square, symmetric form but no definiteness.
+        calls.append(lambda gram, bound: size_reduce(gram))
+    for call in calls:
         with pytest.raises(FormError, match="^%s$" % message):
             call(gram, 2)
 
@@ -325,8 +336,7 @@ def test_short_vectors_empty_cases():
 
 
 def test_short_vectors_on_lattice_object():
-    lat = IntegerLattice(((1, 0), (0, 2)), mx.identity(2))
-    vectors = short_vectors(lat.gram(), 1)
+    vectors = short_vectors(gram_matrix(mx.identity(2), ((1, 0), (0, 2))), 1)
     assert vectors == ((-1, 0), (1, 0))
 
 

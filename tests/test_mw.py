@@ -146,6 +146,18 @@ def test_mwl_takes_no_determinant_of_the_dual_gram(g, monkeypatch):
     assert [len(m) for m in seen] == [2]
 
 
+@pytest.mark.parametrize("g", [1, 2])
+def test_mwl_runs_two_bareiss_eliminations(g, monkeypatch):
+    # T's basis and its complement are independent rows by construction, so
+    # no rank is eliminated: only det of T's Gram and dual_gram remain.
+    seen = []
+    real = mx._bareiss
+    monkeypatch.setattr(mx, "_bareiss", lambda a, ncols: seen.append(ncols) or real(a, ncols))
+    report = mwl(scenario_all_irreducible(g))
+    assert report.rank == 4 * g + 4
+    assert seen == [2, 4 * g + 4]
+
+
 def test_mwl_reduces_the_generators_once(monkeypatch):
     # The group and T's basis both come from one Smith reduction with U;
     # no Hermite pass over the generators (``mw_group``'s route) remains.
