@@ -43,8 +43,8 @@ import numpy as np
 
 from . import matrices as mx
 from .errors import FormError
+from .matrices import _INT64_LIMIT
 
-_INT64_LIMIT = 1 << 62
 _isqrt = np.frompyfunc(math.isqrt, 1, 1)
 
 
@@ -107,8 +107,6 @@ class AbelianGroupInvariants:
 def gram_matrix(form: Sequence[Sequence[int]], rows: Sequence[Sequence[int]]):
     """Gram matrix B F B^T of the given integer rows under the integer form."""
     rows = mx.int_matrix(rows)
-    if not rows:
-        return ()
     return mx.matmul(mx.matmul(rows, mx.int_matrix(form)), mx.transpose(rows))
 
 
@@ -326,7 +324,8 @@ def vector_norms(gram, vectors):
     """The norms v G v^T of integer vectors: ints for an integral Gram
     matrix, Fractions for a rational one."""
     igram, scale = mx.as_integer_matrix(gram)
-    norms = (sum(x * y for x, y in zip(v, mx.mat_vec(igram, v))) for v in mx.int_matrix(vectors))
+    vectors = mx.int_matrix(vectors)
+    norms = (sum(x * y for x, y in zip(v, w)) for v, w in zip(vectors, mx.matmul(vectors, igram)))
     if scale == 1:
         return tuple(norms)
     return tuple(Fraction(q, scale) for q in norms)

@@ -7,7 +7,14 @@ clarity and verifiability over asymptotics.
 
 Entries are read in one place, ``as_integer_matrix`` (``int_matrix`` is its
 integer view): ints, numpy integers and Fractions pass; a bool, float, string
-or Decimal is a TypeError.
+or Decimal is a TypeError.  A public function reads its input there once;
+``_smith_reduce`` and ``_hermite_rows`` take checked int rows.
+
+There is one matrix product, ``matmul``.  It runs as one numpy int64 product
+when both operands hold plain ints only, each below 2^62, and
+max |a_ik| * max_j sum_k |b_kj| < 2^62, which bounds every entry and partial
+sum of the product (an operand's own bound matters when the other one is all
+zero); otherwise as sums of Python products.  On ints the two agree.
 
 There are two fraction-free (Bareiss) eliminations, in which every
 intermediate entry is a minor of the scaled matrix, so all divisions are
@@ -35,11 +42,16 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Iterable, Sequence
 
+import numpy as np
+
 Matrix = tuple[tuple[Fraction, ...], ...]
 IntMatrix = tuple[tuple[int, ...], ...]
+
+_INT64_LIMIT = 1 << 62
 
 
 def mat(rows: Iterable[Iterable]) -> tuple:
@@ -81,14 +93,24 @@ def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
     if a and b and len(a[0]) != len(b):
         raise ValueError("incompatible shapes %dx%d * %dx%d"
                          % (len(a), len(a[0]), len(b), len(b[0])))
+    if _fits_int64(a, b):
+        product = np.array(a, dtype=np.int64) @ np.array(b, dtype=np.int64)
+        return tuple(map(tuple, product.tolist()))
     bt = transpose(b)
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
 
 
-def mat_vec(m: Sequence[Sequence], v: Sequence) -> tuple:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+def _fits_int64(a, b) -> bool:
+    """The int64 guard of ``matmul`` (module docstring), for non-empty rectangular a, b."""
+    if not (a and b and b[0]) or {*map(len, a)} != {len(b)} or {*map(len, b)} != {len(b[0])}:
+        return False
+    if {*map(type, chain.from_iterable(a)), *map(type, chain.from_iterable(b))} != {int}:
+        return False
+    reach_a = max(map(abs, chain.from_iterable(a)))
+    reach_b = max(sum(map(abs, col)) for col in zip(*b))
+    return max(reach_a, reach_b, reach_a * reach_b) < _INT64_LIMIT
 
 
 def as_integer_matrix(m: Sequence[Sequence]) -> tuple[IntMatrix, int]:
@@ -247,7 +269,7 @@ def _smith_reduce(m: Sequence[Sequence[int]], track: bool):
     for some unimodular V that is not built; without it u holds one empty
     row per row of ``m``, so the row operations below update nothing but S.
     """
-    a = [list(row) for row in int_matrix(m)]
+    a = [list(row) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if track:
@@ -345,7 +367,7 @@ def _hermite_rows(m: Sequence[Sequence[int]]) -> list[dict]:
     pivot is 1, no other pivot row has an entry in its column.
     """
     table: dict[int, dict] = {}  # leading column -> pivot row
-    for values in int_matrix(m):
+    for values in m:
         row = {j: x for j, x in enumerate(values) if x}
         while row:
             col = min(row)
@@ -378,7 +400,7 @@ def invariant_factors(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
     if not m or not m[0]:
         return ()
     cols = len(m[0])
-    block = [[row.get(j, 0) for j in range(cols)] for row in _hermite_rows(m)]
+    block = [[row.get(j, 0) for j in range(cols)] for row in _hermite_rows(int_matrix(m))]
     return _smith_reduce(block, track=False)[1]
 
 
@@ -386,6 +408,6 @@ def left_kernel_basis(m: Sequence[Sequence[int]]) -> IntMatrix:
     """Basis of the saturated lattice {x : x @ M == 0}, as rows."""
     if not m:
         return ()
-    u, factors = _smith_reduce(m, track=True)
+    u, factors = _smith_reduce(int_matrix(m), track=True)
     return mat(u[len(factors):])
 

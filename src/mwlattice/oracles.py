@@ -4,28 +4,23 @@ Each function here recomputes a result by a different route than the
 primary implementation: invariant factors via minor gcds instead of
 row reduction, short vectors via box enumeration (in the given or the
 size-reduced basis, whichever box has fewer points, with integer box
-radii and a guarded int64 map-back) instead of the pruned level-wise
-search, the discriminant via its factored form
-instead of b^2 - 4ac, and the distinguished fibre Gram matrix from its
-displayed entry pattern instead of from divisor classes.  Tests and the
-verification battery compare the two routes; nothing here is used by
-the primary code paths.
+radii) instead of the pruned level-wise search, the discriminant via its
+factored form instead of b^2 - 4ac, and the distinguished fibre Gram
+matrix from its displayed entry pattern instead of from divisor classes.
+Tests and the verification battery compare the two routes; nothing here
+is used by the primary code paths.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import combinations
 from math import gcd, prod
-
-import numpy as np
 
 from . import matrices as mx
 from .boxenum import _box_radii, box_short_vectors
 from .lattice import _check_square, size_reduce
 from .pencil import PencilCoefficients
 from .poly import SparsePoly, T, Y
-
-_MAP_BACK_LIMIT = 1 << 62
 
 
 def determinant_by_expansion(m) -> int:
@@ -83,8 +78,8 @@ def brute_force_short_vectors(gram, bound):
     (:func:`_box_size`); the public :func:`box_short_vectors` runs that
     set-up once more on the chosen basis, so there are three per call.
     The scan goes through the public function because the benchmark's
-    tracer counts box scans and points there.  The vectors found in the reduced basis are mapped back
-    by one matrix product (see :func:`_map_back`).
+    tracer counts box scans and points there.  The vectors found in the
+    reduced basis are mapped back by one :func:`matrices.matmul`.
     """
     _check_square(gram)
     bound = mx._exact(bound)
@@ -94,31 +89,12 @@ def brute_force_short_vectors(gram, bound):
     reduced, transform = size_reduce(gram)
     if given <= _box_size(reduced, bound):
         return box_short_vectors(gram, bound)
-    return _map_back(box_short_vectors(reduced, bound), transform)
+    return tuple(sorted(mx.matmul(box_short_vectors(reduced, bound), transform)))
 
 
 def _box_size(gram, bound) -> int:
     int_gram, scale = mx.as_integer_matrix(gram)
     return prod(2 * r + 1 for r in _box_radii(int_gram, bound * scale))
-
-
-def _map_back(found, transform) -> tuple[tuple[int, ...], ...]:
-    """The rows of found @ transform, exactly, sorted.
-
-    The product runs in int64 only when no entry can reach 2^62: every
-    entry is at most max |coordinate| times the largest column sum of
-    |transform|, and so is every partial sum.  Otherwise it runs on Python
-    integers.
-    """
-    if not found:
-        return ()
-    reach = max(map(abs, chain.from_iterable(found)))
-    reach *= max(sum(map(abs, col)) for col in zip(*transform))
-    if reach < _MAP_BACK_LIMIT:
-        rows = (np.array(found, dtype=np.int64) @ np.array(transform, dtype=np.int64)).tolist()
-    else:
-        rows = mx.matmul(found, transform)
-    return tuple(sorted(map(tuple, rows)))
 
 
 def factored_pencil_discriminant(pc: PencilCoefficients) -> SparsePoly:

@@ -144,7 +144,7 @@ class BasisIsometry:
     def apply(self, cls: DivisorClass) -> DivisorClass:
         if cls.model != self.source:
             raise ConfigurationError("class does not live on the source model")
-        return DivisorClass(self.target, mx.mat_vec(self.matrix, cls.coeffs))
+        return DivisorClass(self.target, mx.matmul((cls.coeffs,), mx.transpose(self.matrix))[0])
 
     def inverse(self) -> "BasisIsometry":
         inv = mx.int_matrix(mx.inverse(self.matrix))

@@ -18,3 +18,6 @@ def test_retired_names_stay_retired():
         assert not hasattr(mwlattice, name)
     # ``mwl`` and ``orthogonal_complement`` work on plain integer rows.
     assert not hasattr(mwlattice.lattice, "IntegerLattice")
+    # The oracle maps vectors back with ``matrices.matmul``, the one
+    # integer product.
+    assert not hasattr(mwlattice.oracles, "_map_back")

@@ -6,12 +6,13 @@ test that exercises the installed console script.
 
 import json
 import shutil
+import signal
 import subprocess
 import sys
 
 import pytest
 
-from mwlattice.cli import main
+from mwlattice.cli import _MAX_GENUS, main
 from mwlattice.poly import T, Y
 from mwlattice.scenarios import scenario_to_json, scenario_trivial_mw
 from mwlattice.serialize import poly_to_json
@@ -145,6 +146,75 @@ def test_exit2_negative_builtin_genus(capsys):
     code, _, err = run(capsys, "mw", "--all-irreducible", "--g", "-1")
     assert code == 2
     assert "genus must be at least 1" in err
+
+
+HUGE_GENUS = str(10 ** 30)
+
+
+def run_within(seconds, capsys, *argv):
+    """``run``, failing with TimeoutError if it takes longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError("mwlat %s ran over %s s" % (" ".join(argv), seconds))
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return run(capsys, *argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pencil", "transfer", "--coeffs", "{huge}"),
+        ("pencil", "disc", "--random", "--g", HUGE_GENUS, "--seed", "0"),
+        ("pencil", "transfer", "--random", "--g", HUGE_GENUS, "--seed", "0"),
+        ("mw", "--all-irreducible", "--g", HUGE_GENUS),
+        ("fiber", "--trivial-scenario", "--g", HUGE_GENUS),
+        ("export", "--dot", "--all-irreducible", "--g", HUGE_GENUS),
+        ("verify-all", "--g", "1.." + HUGE_GENUS, "--seed", "0"),
+        ("verify-all", "--g", HUGE_GENUS, "--seed", "0"),
+    ],
+    ids=["transfer-coeffs", "disc-random", "transfer-random", "mw", "fiber",
+         "export", "verify-all-range", "verify-all"],
+)
+def test_huge_genus_is_refused_at_once(capsys, tmp_path, argv):
+    # Each of these would build O(g) coefficients or a (4g+6)^2 form.
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"genus": %s, "c": {"2,0": 1, "0,1": 1}}' % HUGE_GENUS)
+    argv = [str(huge) if arg == "{huge}" else arg for arg in argv]
+    code, out, err = run_within(1.0, capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "input error: genus %s is above the largest supported genus %d\n" % (
+        HUGE_GENUS, _MAX_GENUS)
+
+
+def test_genus_bound_edges(capsys):
+    # The bound admits g = 14, the maximal lattice D_60^+.
+    assert _MAX_GENUS >= 14
+    code, out, _ = run(capsys, "pencil", "transfer", "--random", "--g", str(_MAX_GENUS),
+                       "--seed", "0")
+    assert code == 0
+    assert out.startswith("genus: %d\n" % _MAX_GENUS)
+    code, _, err = run(capsys, "pencil", "disc", "--random", "--g", str(_MAX_GENUS + 1),
+                       "--seed", "0")
+    assert code == 2
+    assert "above the largest supported genus" in err
+    code, _, err = run(capsys, "verify-all", "--g", "1..%d" % (_MAX_GENUS + 1), "--seed", "0")
+    assert code == 2
+    assert "above the largest supported genus" in err
+
+
+def test_disc_from_coefficients_takes_any_genus(capsys, tmp_path):
+    # Its work follows the file's entries, not the genus.
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"genus": %s, "c": {"2,0": 1, "0,1": 1}}' % HUGE_GENUS)
+    code, out, _ = run_within(5.0, capsys, "pencil", "disc", "--coeffs", str(huge))
+    assert code == 0
+    assert out.startswith("genus: %s\n" % HUGE_GENUS)
 
 
 def test_fiber_text(capsys):

@@ -140,13 +140,13 @@ def _counting(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, counted)
 
 
-@pytest.mark.parametrize("limit", [oracles._MAP_BACK_LIMIT, 0])
+@pytest.mark.parametrize("limit", [mx._INT64_LIMIT, 0])
 def test_oracle_maps_back_exactly(monkeypatch, limit):
-    # With the guard's limit at 0 the map-back must run on Python integers:
-    # numpy is out of reach of the oracle module then.
-    monkeypatch.setattr(oracles, "_MAP_BACK_LIMIT", limit)
+    # With the product guard's limit at 0 the map-back must run on Python
+    # integers: numpy is out of reach of ``matmul`` then.
+    monkeypatch.setattr(mx, "_INT64_LIMIT", limit)
     if limit == 0:
-        monkeypatch.setattr(oracles, "np", None)
+        monkeypatch.setattr(mx, "np", None)
     calls = []
     _counting(monkeypatch, oracles, "box_short_vectors", calls)
     for gram in itertools.islice(_skewed_grams(), 12):
@@ -154,23 +154,6 @@ def test_oracle_maps_back_exactly(monkeypatch, limit):
         bound = 2 if len(gram) > 4 else 3
         assert brute_force_short_vectors(gram, bound) == short_vectors(gram, bound)
         assert calls == [("box_short_vectors", size_reduce(gram)[0])]
-
-
-@pytest.mark.parametrize(
-    "found,transform",
-    [
-        # a huge transform entry
-        (((0, 1), (1, 0)), ((1, 1 << 70), (0, 1))),
-        # small transform, large coordinates: 2^40 * 2^30
-        ((((1 << 40), 1),), ((1 << 30, 1), (0, 1))),
-        # entries of 2^61 whose column sum 2^63 overflows int64
-        (((1, 1, 1, 1),), tuple((1 << 61, 0) for _ in range(4))),
-    ],
-)
-def test_map_back_beyond_int64(found, transform):
-    expected = tuple(sorted(mx.matmul(found, transform)))
-    assert oracles._map_back(found, transform) == expected
-    assert oracles._map_back((), transform) == ()
 
 
 @pytest.mark.parametrize("given_wins", [True, False])

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,65 @@ def test_det_is_multiplicative():
         a = tuple(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(n))
         b = tuple(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(n))
         assert mx.det(mx.matmul(a, b)) == mx.det(a) * mx.det(b)
+
+
+def _python_product(a, b):
+    """a @ b as sums of Python products, the reference for ``matmul``."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        # a huge entry on the right
+        (((0, 1), (1, 0)), ((1, 1 << 70), (0, 1))),
+        # small right operand, large left entries: 2^40 * 2^30
+        ((((1 << 40), 1),), ((1 << 30, 1), (0, 1))),
+        # entries of 2^61 whose column sum 2^63 overflows int64
+        (((1, 1, 1, 1),), tuple((1 << 61, 0) for _ in range(4))),
+        # an all-zero operand beside a 2^63 entry: the product's bound is 0,
+        # but the other operand does not fit in int64
+        (((0, 0),), ((1 << 63, 0), (0, 1))),
+        (((1 << 63, 1),), ((0,), (0,))),
+    ],
+)
+def test_matmul_beyond_int64(a, b):
+    # In int64 each of these products would overflow or fail to convert.
+    assert mx.matmul(a, b) == _python_product(a, b)
+    assert not mx._fits_int64(a, b)
+    assert mx.matmul((), b) == ()
+
+
+def test_matmul_in_int64_gives_python_ints():
+    rng = random.Random(5)
+    for _ in range(20):
+        n, k, m = (rng.randint(1, 5) for _ in range(3))
+        a = tuple(tuple(rng.randint(-(1 << 20), 1 << 20) for _ in range(k)) for _ in range(n))
+        b = tuple(tuple(rng.randint(-(1 << 20), 1 << 20) for _ in range(m)) for _ in range(k))
+        assert mx._fits_int64(a, b)
+        got = mx.matmul(a, b)
+        assert got == _python_product(a, b)
+        assert all(type(x) is int for row in got for x in row)
+
+
+def test_matmul_guard_is_exact_at_the_limit():
+    # max |a_ik| * max_j sum_k |b_kj| must stay below 2^62.
+    below = ((1 << 31,),), (((1 << 31) - 1,),)
+    at = ((1 << 31,),), ((1 << 31,),)
+    assert mx._fits_int64(*below) and not mx._fits_int64(*at)
+    for a, b in (below, at):
+        assert mx.matmul(a, b) == _python_product(a, b)
+
+
+def test_matmul_keeps_other_entries_on_the_python_loop():
+    a = ((Fraction(1, 2), 1), (2, Fraction(-1, 3)))
+    b = ((Fraction(2, 3),), (4,))
+    got = mx.matmul(a, b)
+    assert got == ((Fraction(13, 3),), (Fraction(0),)) == _python_product(a, b)
+    assert all(type(row[0]) is Fraction for row in got)
+    assert not mx._fits_int64(a, b)
+    assert not mx._fits_int64(((True, 1),), ((1,), (1,)))
+    assert not mx._fits_int64(((np.int64(1), 1),), ((1,), (1,)))
 
 
 def test_inverse_round_trip():
