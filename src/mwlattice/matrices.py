@@ -10,17 +10,22 @@ integer view): ints, numpy integers and Fractions pass; a bool, float, string
 or Decimal is a TypeError.  A public function reads its input there once;
 ``_smith_reduce`` and ``_hermite_rows`` take checked int rows.
 
-There is one matrix product, ``matmul``.  It runs as one numpy int64 product
-when both operands hold plain ints only, each below 2^62, and
+There is one matrix product, ``matmul``.  It reads each operand once, with
+``np.array``, so a ragged operand is a ValueError.  When both reads are 2-D
+int64 arrays, every entry is below 2^62 and
 max |a_ik| * max_j sum_k |b_kj| < 2^62, which bounds every entry and partial
 sum of the product (an operand's own bound matters when the other one is all
-zero); otherwise as sums of Python products.  On ints the two agree.
+zero), it runs as one int64 product on those arrays.  Otherwise it runs as
+sums of Python products: on the read's Python ints when it read integers,
+so numpy integers cannot wrap, and on the entries as given when it did not
+(Fractions, or ints that numpy reads as floats or objects).  On ints the
+two agree.
 
 There are two fraction-free (Bareiss) eliminations, in which every
 intermediate entry is a minor of the scaled matrix, so all divisions are
 exact integer divisions and no ``Fraction`` is built until the result.
-``_bareiss`` is the Gauss-Jordan one: ``det``, ``inverse``, ``rank``,
-``solve_left``, ``lattice.dual_gram``, ``fibers.fiber_multiplicities`` and
+``_bareiss`` is the Gauss-Jordan one: ``det``, ``inverse``, ``solve_left``,
+``lattice.dual_gram``, ``fibers.fiber_multiplicities`` and
 ``boxenum._box_radii`` run it; ``mw.mwl`` runs it at most twice, in ``det`` of
 T's Gram matrix and in ``dual_gram``.  ``lattice._bareiss_ldl`` is the symmetric
 LDL one: the Fincke-Pohst search runs on its data, and it is the check,
@@ -42,7 +47,6 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -90,27 +94,24 @@ def transpose(m: Sequence[Sequence]) -> tuple:
 
 
 def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("incompatible shapes %dx%d * %dx%d"
-                         % (len(a), len(a[0]), len(b), len(b[0])))
-    if _fits_int64(a, b):
-        product = np.array(a, dtype=np.int64) @ np.array(b, dtype=np.int64)
-        return tuple(map(tuple, product.tolist()))
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
-def _fits_int64(a, b) -> bool:
-    """The int64 guard of ``matmul`` (module docstring), for non-empty rectangular a, b."""
-    if not (a and b and b[0]) or {*map(len, a)} != {len(b)} or {*map(len, b)} != {len(b[0])}:
-        return False
-    if {*map(type, chain.from_iterable(a)), *map(type, chain.from_iterable(b))} != {int}:
-        return False
-    reach_a = max(map(abs, chain.from_iterable(a)))
-    reach_b = max(sum(map(abs, col)) for col in zip(*b))
-    return max(reach_a, reach_b, reach_a * reach_b) < _INT64_LIMIT
+    x, y = np.array(a), np.array(b)
+    if x.ndim == y.ndim == 2 and x.shape[1] != y.shape[0]:
+        raise ValueError("incompatible shapes %dx%d * %dx%d" % (*x.shape, *y.shape))
+    if x.ndim == y.ndim == 2 and x.dtype == y.dtype == np.int64:
+        # |v| read as uint64 is exact for every int64 v, -2^63 included
+        abs_y = np.abs(y)
+        reach_a = int(np.abs(x).view(np.uint64).max())
+        top_b = int(abs_y.view(np.uint64).max())
+        if max(reach_a, top_b) < _INT64_LIMIT:
+            # column sums of |b| in int64 while they cannot wrap, else in Python ints
+            dtype = np.int64 if top_b * len(y) < 1 << 63 else object
+            reach_b = int(abs_y.sum(axis=0, dtype=dtype).max())
+            if max(reach_b, reach_a * reach_b) < _INT64_LIMIT:
+                return tuple(map(tuple, (x @ y).tolist()))
+    # sums of Python products: the only route that calls transpose (tests watch for it)
+    a = x.tolist() if x.dtype.kind in "iu" else a
+    bt = transpose(y.tolist() if y.dtype.kind in "iu" else b)
+    return tuple(tuple(sum(p * q for p, q in zip(row, col)) for col in bt) for row in a)
 
 
 def as_integer_matrix(m: Sequence[Sequence]) -> tuple[IntMatrix, int]:
@@ -183,12 +184,6 @@ def det(m: Sequence[Sequence]):
     return Fraction(d if len(pivots) == n else 0, den ** n)
 
 
-def rank(m: Sequence[Sequence]) -> int:
-    """Rank over the rationals."""
-    a, _ = as_integer_matrix(m)
-    return len(_bareiss(list(a), len(a[0]) if a else 0)[0])
-
-
 def inverse(m: Sequence[Sequence]) -> Matrix:
     """Exact inverse; raises FormError-free ValueError on singular input."""
     return _inverse_and_det(m)[0]
@@ -229,7 +224,7 @@ def solve_left(a: Sequence[Sequence], b: Sequence):
 
 
 def _solve_left_and_rank(a: Sequence[Sequence], b: Sequence):
-    """``solve_left(a, b)`` and ``rank(a)``, from one elimination.
+    """``solve_left(a, b)`` and the rank of ``a``, from one elimination.
 
     Reduces (a^T | b); the unknowns of columns without a pivot are 0, and
     the pivots of the a^T block count the rank.

@@ -66,13 +66,6 @@ def poly_from_json(obj) -> SparsePoly:
     return SparsePoly(terms)
 
 
-def pencil_coefficients_to_json(pc: PencilCoefficients) -> dict:
-    return {
-        "genus": pc.g,
-        "c": {"%d,%d" % (i, j): frac_to_json(v) for i, j, v in pc.entries},
-    }
-
-
 def pencil_coefficients_from_json(obj) -> PencilCoefficients:
     if not isinstance(obj, dict):
         raise InputFormatError("coefficient document must be a JSON object")

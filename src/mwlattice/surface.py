@@ -133,7 +133,7 @@ class DivisorClass:
         return DivisorClass(self.model, tuple(-x for x in self.coeffs))
 
     def __rmul__(self, c: int) -> "DivisorClass":
-        if not isinstance(c, int):
+        if not isinstance(c, int) or isinstance(c, bool):
             return NotImplemented
         return DivisorClass(self.model, tuple(c * x for x in self.coeffs))
 

@@ -141,19 +141,21 @@ def _counting(monkeypatch, module, name, calls):
 
 
 @pytest.mark.parametrize("limit", [mx._INT64_LIMIT, 0])
-def test_oracle_maps_back_exactly(monkeypatch, limit):
+def test_oracle_maps_back_exactly(monkeypatch, python_loops, limit):
     # With the product guard's limit at 0 the map-back must run on Python
-    # integers: numpy is out of reach of ``matmul`` then.
+    # integers: ``matmul`` then sums Python products for every product.
     monkeypatch.setattr(mx, "_INT64_LIMIT", limit)
-    if limit == 0:
-        monkeypatch.setattr(mx, "np", None)
     calls = []
     _counting(monkeypatch, oracles, "box_short_vectors", calls)
     for gram in itertools.islice(_skewed_grams(), 12):
         calls.clear()
+        python_loops.clear()
         bound = 2 if len(gram) > 4 else 3
-        assert brute_force_short_vectors(gram, bound) == short_vectors(gram, bound)
+        found = brute_force_short_vectors(gram, bound)
+        assert found == short_vectors(gram, bound)
         assert calls == [("box_short_vectors", size_reduce(gram)[0])]
+        # the one map-back product: int64 unless the limit is 0 or it has no rows
+        assert len(python_loops) == (limit == 0 or not found)
 
 
 @pytest.mark.parametrize("given_wins", [True, False])

@@ -203,7 +203,7 @@ def test_non_square_gram_is_rejected(entry, gram):
 # name -> (call, an integer matrix it takes, whether it takes integers only)
 ENTRY_POLICY = {
     "det": (mx.det, A2, False),
-    "rank": (mx.rank, ((1, 2), (2, 4), (0, 1)), False),
+    "rank": (lambda m: mx._solve_left_and_rank(m, (0, 0))[1], ((1, 2), (2, 4), (0, 1)), False),
     "inverse": (mx.inverse, A2, False),
     "solve_left": (lambda m: mx.solve_left(m, (1, 0)), A2, False),
     "invariant_factors": (mx.invariant_factors, ((2, 4), (6, 8), (4, 0)), True),

@@ -53,45 +53,67 @@ def _python_product(a, b):
         # but the other operand does not fit in int64
         (((0, 0),), ((1 << 63, 0), (0, 1))),
         (((1 << 63, 1),), ((0,), (0,))),
+        # -2^63 fits in int64, but its absolute value does not
+        (((-(1 << 63), 0),), ((0,), (0,))),
+        (((0, 0),), ((-(1 << 63), 0), (0, 1))),
     ],
 )
-def test_matmul_beyond_int64(a, b):
+def test_matmul_beyond_int64(a, b, python_loops):
     # In int64 each of these products would overflow or fail to convert.
     assert mx.matmul(a, b) == _python_product(a, b)
-    assert not mx._fits_int64(a, b)
+    assert len(python_loops) == 1
     assert mx.matmul((), b) == ()
 
 
-def test_matmul_in_int64_gives_python_ints():
+def test_matmul_in_int64_gives_python_ints(python_loops):
     rng = random.Random(5)
     for _ in range(20):
         n, k, m = (rng.randint(1, 5) for _ in range(3))
         a = tuple(tuple(rng.randint(-(1 << 20), 1 << 20) for _ in range(k)) for _ in range(n))
         b = tuple(tuple(rng.randint(-(1 << 20), 1 << 20) for _ in range(m)) for _ in range(k))
-        assert mx._fits_int64(a, b)
         got = mx.matmul(a, b)
         assert got == _python_product(a, b)
         assert all(type(x) is int for row in got for x in row)
+    assert not python_loops
 
 
-def test_matmul_guard_is_exact_at_the_limit():
+def test_matmul_guard_is_exact_at_the_limit(python_loops):
     # max |a_ik| * max_j sum_k |b_kj| must stay below 2^62.
     below = ((1 << 31,),), (((1 << 31) - 1,),)
     at = ((1 << 31,),), ((1 << 31,),)
-    assert mx._fits_int64(*below) and not mx._fits_int64(*at)
-    for a, b in (below, at):
-        assert mx.matmul(a, b) == _python_product(a, b)
+    assert mx.matmul(*below) == _python_product(*below) and not python_loops
+    assert mx.matmul(*at) == _python_product(*at) and len(python_loops) == 1
+    # Four entries of 2^61 could wrap an int64 column sum; this one is 2^61.
+    wide = ((1, 0, 0, 0),), ((1 << 61,), (0,), (0,), (0,))
+    assert mx.matmul(*wide) == ((1 << 61,),) and len(python_loops) == 1
 
 
-def test_matmul_keeps_other_entries_on_the_python_loop():
+def test_matmul_keeps_other_entries_on_the_python_loop(python_loops):
     a = ((Fraction(1, 2), 1), (2, Fraction(-1, 3)))
     b = ((Fraction(2, 3),), (4,))
     got = mx.matmul(a, b)
     assert got == ((Fraction(13, 3),), (Fraction(0),)) == _python_product(a, b)
     assert all(type(row[0]) is Fraction for row in got)
-    assert not mx._fits_int64(a, b)
-    assert not mx._fits_int64(((True, 1),), ((1,), (1,)))
-    assert not mx._fits_int64(((np.int64(1), 1),), ((1,), (1,)))
+    assert len(python_loops) == 1
+    # bools and numpy integers read as int64: the exact route, Python ints out
+    for a in (((True, 1),), ((np.int64(1), 1),)):
+        got = mx.matmul(a, ((1,), (1,)))
+        assert got == ((2,),) and type(got[0][0]) is int
+    assert len(python_loops) == 1
+
+
+def test_matmul_of_numpy_integers_does_not_wrap():
+    # 2^40 * 2^40 in np.int64 arithmetic wraps to 0
+    a = ((np.int64(1 << 40),),)
+    got = mx.matmul(a, a)
+    assert got == ((1 << 80,),) and type(got[0][0]) is int
+
+
+def test_matmul_refuses_a_ragged_operand():
+    with pytest.raises(ValueError):
+        mx.matmul(((1, 1),), ((1, 2), (3,)))
+    with pytest.raises(ValueError):
+        mx.matmul(((1, 2), (3,)), ((1,), (1,)))
 
 
 def test_inverse_round_trip():
@@ -109,13 +131,6 @@ def test_inverse_round_trip():
 def test_inverse_rejects_singular():
     with pytest.raises(ValueError):
         mx.inverse(((1, 1), (1, 1)))
-
-
-def test_rank():
-    assert mx.rank(()) == 0
-    assert mx.rank(((0, 0),)) == 0
-    assert mx.rank(((1, 2), (2, 4))) == 1
-    assert mx.rank(((1, 0), (0, 1), (1, 1))) == 2
 
 
 def test_invariant_factors_known():
@@ -157,6 +172,11 @@ def _clear_denominators(m):
         for row in m)
 
 
+def _rank(m):
+    """Rank over the rationals, from the minors: off every elimination."""
+    return len(invariant_factors_by_minors(_clear_denominators(m)))
+
+
 _ENTRIES = st.one_of(st.integers(-6, 6), st.fractions(-3, 3, max_denominator=5))
 _SQUARE = st.integers(1, 5).flatmap(lambda n: _matrices(n, n, _ENTRIES))
 _SHAPES = st.tuples(st.integers(1, 4), st.integers(1, 5))
@@ -188,8 +208,7 @@ def test_det_and_inverse_match_cofactor_expansion(m):
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(_RECTANGULAR, st.data())
 def test_rank_and_solve_left_properties(m, data):
-    rank = mx.rank(m)
-    assert rank == len(invariant_factors_by_minors(_clear_denominators(m)))
+    rank = _rank(m)
     # b is an integer combination of the rows half of the time
     if data.draw(st.booleans()):
         coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(m), max_size=len(m)))
@@ -198,7 +217,7 @@ def test_rank_and_solve_left_properties(m, data):
         b = tuple(data.draw(st.lists(_ENTRIES, min_size=len(m[0]), max_size=len(m[0]))))
     x = mx.solve_left(m, b)
     assert mx._solve_left_and_rank(m, b) == (x, rank)
-    if mx.rank(m + (b,)) > rank:
+    if _rank(m + (b,)) > rank:
         assert x is None
     else:
         assert len(x) == len(m)
@@ -237,7 +256,7 @@ def test_smith_form_properties(m):
 @given(_INTEGER_RECTANGULAR)
 def test_left_kernel_basis_properties(m):
     k = mx.left_kernel_basis(m)
-    assert len(k) == len(m) - mx.rank(m)
+    assert len(k) == len(m) - _rank(m)
     if k:
         assert all(not any(row) for row in mx.matmul(k, m))
         # saturated: Z^rows / span(k) is torsion-free
@@ -254,7 +273,7 @@ def test_smith_transform_gives_row_lattice_basis(m):
     reduced = mx.matmul(u, m)
     basis = reduced[:len(factors)]
     assert not any(any(row) for row in reduced[len(factors):])
-    assert len(basis) == mx.rank(m)
+    assert len(basis) == _rank(m)
     # Every row of m is an integer combination of the basis; the basis rows
     # are independent, so the solution is unique and integrality decisive.
     for row in m:

@@ -8,7 +8,7 @@ import pytest
 
 from mwlattice import lattice
 from mwlattice import matrices as mx
-from mwlattice.catalog import build_catalog, catalog_entry
+from mwlattice.catalog import _cycle_scenario, build_catalog, catalog_entry
 from mwlattice.errors import FormError, InvalidModelError
 from mwlattice.lattice import AbelianGroupInvariants, short_vectors_with_norms
 from mwlattice.mw import (
@@ -262,6 +262,22 @@ def test_mwl_searches_stay_in_int64(monkeypatch):
     budgets = [lattice._search(gram, 2)[2] for gram in (mwl(sc).gram for sc in scenarios) if gram]
     assert len(budgets) == 48 and max(budgets) < 1 << 62
     assert reaches and max(reaches) < 1 << 62
+
+
+def test_mwl_products_stay_in_int64(monkeypatch, python_loops):
+    """Every product ``mwl`` makes on the catalog, on the maximal scenario at
+    each (g, d) for g = 1..10 and on cycles of 3 and 5 components at
+    g = 10, 12 runs as one int64 product, never as sums of Python products."""
+    scenarios = [entry.scenario for entry in build_catalog()]
+    scenarios += [scenario_all_irreducible(g, d) for g in range(1, 11) for d in range(g + 2)]
+    scenarios += [_cycle_scenario(g, length) for g in (10, 12) for length in (3, 5)]
+    products = []
+    matmul = mx.matmul
+    monkeypatch.setattr(mx, "matmul", lambda a, b: products.append(a) or matmul(a, b))
+    for sc in scenarios:
+        mwl(sc)
+    assert len(scenarios) == 93 and len(products) >= 4 * len(scenarios)
+    assert python_loops == []
 
 
 def test_mwl_degenerate_complement_raises():

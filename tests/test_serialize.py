@@ -14,7 +14,6 @@ from mwlattice.serialize import (
     frac_to_json,
     matrix_to_json,
     pencil_coefficients_from_json,
-    pencil_coefficients_to_json,
     poly_from_json,
     poly_to_json,
 )
@@ -88,6 +87,14 @@ def test_poly_from_json_rejections():
         poly_from_json([{"exp": [True, 0, 1, 0], "coef": 1}])
     with pytest.raises(InputFormatError, match="four nonnegative integers"):
         poly_from_json([{"exp": [1.5, 0, 0, 0], "coef": 1}])
+
+
+def pencil_coefficients_to_json(pc: PencilCoefficients) -> dict:
+    """The coefficient-file form that ``pencil_coefficients_from_json`` reads."""
+    return {
+        "genus": pc.g,
+        "c": {"%d,%d" % (i, j): frac_to_json(v) for i, j, v in pc.entries},
+    }
 
 
 def test_pencil_coefficients_round_trip():

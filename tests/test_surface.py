@@ -117,6 +117,16 @@ def test_divisor_arithmetic():
     assert (e1 - e1).is_zero()
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_divisor_refuses_a_bool_multiplier(flag):
+    # True is no coefficient: every other entry point refuses it too
+    e1 = exceptional(SurfaceModel.maximal(1), 1)
+    with pytest.raises(TypeError):
+        flag * e1
+    with pytest.raises(TypeError):
+        e1 * flag
+
+
 def test_model_mismatch_rejected():
     a = exceptional(SurfaceModel.maximal(1), 1)
     b = exceptional(SurfaceModel.maximal(2), 1)
