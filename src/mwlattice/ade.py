@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigurationError, InternalConsistencyError, ShapeError
+from .matrices import _integer
 from .poly import SparsePoly, T, Y
 
 KIND_A = "A"
@@ -288,10 +289,13 @@ def classify_ade_germ(
     The germ must vanish to order at least 2 at the origin.  Returns a
     GermClassification whose kind is A, D, E, NotSimple, or Unresolved
     when the reduction exceeds ``max_steps`` coordinate changes.  A
-    negative ``max_steps`` raises ConfigurationError.
+    negative ``max_steps`` raises ConfigurationError, and one that is not
+    an integer TypeError.
     """
-    if max_steps is not None and max_steps < 0:
-        raise ConfigurationError("max_steps must be nonnegative, got %d" % max_steps)
+    if max_steps is not None:
+        max_steps = _integer(max_steps)
+        if max_steps < 0:
+            raise ConfigurationError("max_steps must be nonnegative, got %d" % max_steps)
     if f.uses("x") or f.uses("z"):
         raise ShapeError("germ must involve only the two local variables")
     if f.is_zero():

@@ -5,10 +5,14 @@ Matrices are tuples of tuples (rows).  Entries are Python ints or
 practice are small (rank at most a few dozen), so the implementations favour
 clarity and verifiability over asymptotics.
 
-Entries are read in one place, ``as_integer_matrix`` (``int_matrix`` is its
-integer view): ints, numpy integers and Fractions pass; a bool, float, string
-or Decimal is a TypeError.  A public function reads its input there once;
-``_smith_reduce`` and ``_hermite_rows`` take checked int rows.
+``_integer`` and ``_exact`` are the package's one rule for what counts as a
+number: ints and numpy integers (read as ints) pass, and ``_exact`` also
+passes a Fraction; a bool, float, string or Decimal is a TypeError.  Matrix
+entries are read in one place, ``as_integer_matrix`` (``int_matrix`` is its
+integer view), which runs every entry through ``_exact``.  A public function
+reads its input there once; ``_smith_reduce`` and ``_hermite_rows`` take
+checked int rows.  The models, divisor classes, polynomials, pencils and
+germs read the numbers they are given through the same two functions.
 
 There is one matrix product, ``matmul``.  It reads each operand once, with
 ``np.array``, so a ragged operand is a ValueError.  When both reads are 2-D
@@ -24,12 +28,13 @@ two agree.
 There are two fraction-free (Bareiss) eliminations, in which every
 intermediate entry is a minor of the scaled matrix, so all divisions are
 exact integer divisions and no ``Fraction`` is built until the result.
-``_bareiss`` is the Gauss-Jordan one: ``det``, ``inverse``, ``solve_left``,
-``lattice.dual_gram``, ``fibers.fiber_multiplicities`` and
-``boxenum._box_radii`` run it; ``mw.mwl`` runs it at most twice, in ``det`` of
-T's Gram matrix and in ``dual_gram``.  ``lattice._bareiss_ldl`` is the symmetric
-LDL one: the Fincke-Pohst search runs on its data, and it is the check,
-shared with the box oracle, that a Gram matrix is positive definite.
+``_bareiss`` is the Gauss-Jordan one: ``det``, ``inverse``,
+``lattice.dual_gram``, ``fibers.fiber_multiplicities`` (through
+``_solve_left_and_rank``) and ``boxenum._box_radii`` run it; ``mw.mwl``
+runs it at most twice, in ``det`` of T's Gram matrix and in ``dual_gram``.
+``lattice._bareiss_ldl`` is the symmetric LDL one: the Fincke-Pohst search
+runs on its data, and it is the check, shared with the box oracle, that a
+Gram matrix is positive definite.
 
 There is one Smith reduction: the classical row/column reduction, including
 the divisibility fix-up, so the diagonal entries divide successively.  It
@@ -218,13 +223,9 @@ def int_matrix(m: Sequence[Sequence]) -> IntMatrix:
     return a
 
 
-def solve_left(a: Sequence[Sequence], b: Sequence):
-    """One rational solution x of x @ a = b, or None if inconsistent."""
-    return _solve_left_and_rank(a, b)[0]
-
-
 def _solve_left_and_rank(a: Sequence[Sequence], b: Sequence):
-    """``solve_left(a, b)`` and the rank of ``a``, from one elimination.
+    """(x, rank of ``a``) from one elimination, for x one rational solution
+    of x @ a = b, or None if there is none.
 
     Reduces (a^T | b); the unknowns of columns without a pivot are 0, and
     the pivots of the a^T block count the rank.

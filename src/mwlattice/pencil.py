@@ -72,13 +72,15 @@ class PencilCoefficients:
         return cls(g, tuple((i, j, v) for (i, j), v in coeffs.items()))
 
     def coefficient(self, i: int, j: int) -> Fraction:
+        key = (_integer(i), _integer(j))
         for ei, ej, value in self.entries:
-            if (ei, ej) == (i, j):
+            if (ei, ej) == key:
                 return value
         return Fraction(0)
 
     def row(self, i: int) -> dict[int, Fraction]:
         """All nonzero coefficients with the given x-power."""
+        i = _integer(i)
         return {j: v for ei, j, v in self.entries if ei == i}
 
 

@@ -20,18 +20,21 @@ on each call; code that needs only the exponents reads ``exponents()``.
 The string form lists terms in graded lexicographic order, which also
 fixes the serialization order.
 
-Public construction (``SparsePoly(...)``, ``const``, ``monomial``,
-``variable``) validates every exponent and converts every coefficient
-exactly; a float is refused.
+Numbers passed in go through the package's one entry gate,
+``matrices._exact`` and ``matrices._integer``: a coefficient is an int, a
+numpy integer (read as an int) or a Fraction, and an exponent or a power is
+an integer.  A bool, float, string or Decimal is a TypeError, and a bad
+exponent vector in ``SparsePoly(...)`` a ValueError.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import KeysView, Mapping
+
+from .matrices import _exact, _integer
 
 VARIABLES = ("t", "x", "y", "z")
 Exponent = tuple[int, int, int, int]
@@ -54,15 +57,12 @@ def _graded_order(exponents) -> list[Exponent]:
 
 
 def _rational(value) -> Fraction:
-    """An exact coefficient: an int or a Fraction, as in the ring operations.
-
-    A float, a string or a Decimal is refused; a Fraction passes unchanged.
-    """
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    raise TypeError("cannot coerce %r to SparsePoly" % (value,))
+    """An exact coefficient through ``_exact``; a Fraction passes unchanged."""
+    try:
+        value = _exact(value)
+    except TypeError:
+        raise TypeError("cannot coerce %r to SparsePoly" % (value,)) from None
+    return value if type(value) is Fraction else Fraction(value)
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
@@ -75,12 +75,11 @@ class SparsePoly:
     def __init__(self, terms: Mapping[Exponent, Fraction] | None = None):
         clean = {}
         for exp, coef in (terms or {}).items():
-            # Four nonnegative ints; booleans and non-integers are refused.
             try:
-                key = tuple(operator.index(e) for e in exp)
+                key = tuple(map(_integer, exp))
             except TypeError:
                 key = ()
-            if len(key) != 4 or min(key) < 0 or any(isinstance(e, bool) for e in exp):
+            if len(key) != 4 or min(key) < 0:
                 raise ValueError("bad exponent vector %r" % (exp,))
             coef = _rational(coef)
             if coef:
@@ -152,6 +151,7 @@ class SparsePoly:
         return self.__mul__(other)
 
     def __pow__(self, k: int) -> "SparsePoly":
+        k = _integer(k)
         if k < 0:
             raise ValueError("negative power")
         result = SparsePoly.const(1)
@@ -164,9 +164,9 @@ class SparsePoly:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = SparsePoly.const(other)
-        if not isinstance(other, SparsePoly):
+        try:
+            other = _coerce(other)
+        except TypeError:
             return NotImplemented
         return self._den == other._den and self._num == other._num
 
@@ -196,7 +196,7 @@ class SparsePoly:
 
     def coefficient(self, var: str, power: int) -> "SparsePoly":
         """Coefficient of var^power, as a polynomial in the other variables."""
-        i = _index(var)
+        i, power = _index(var), _integer(power)
         return _make({e[:i] + (0,) + e[i + 1:]: c
                       for e, c in self._num.items() if e[i] == power}, self._den)
 
@@ -235,7 +235,7 @@ class SparsePoly:
 
     def divide_by(self, var: str, power: int) -> "SparsePoly":
         """Exact division by var^power; raises if any term lacks the factor."""
-        i = _index(var)
+        i, power = _index(var), _integer(power)
         if power < 0:
             raise ValueError("negative power")
         if any(e[i] < power for e in self._num):
@@ -309,11 +309,7 @@ def _sum(p: SparsePoly, q: SparsePoly, sign: int) -> SparsePoly:
 
 
 def _coerce(value) -> SparsePoly:
-    if isinstance(value, SparsePoly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return SparsePoly.const(value)
-    raise TypeError("cannot coerce %r to SparsePoly" % (value,))
+    return value if isinstance(value, SparsePoly) else SparsePoly.const(value)
 
 
 T = SparsePoly.variable("t")

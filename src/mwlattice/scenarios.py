@@ -318,13 +318,9 @@ def scenario_to_json(scenario: Scenario) -> dict:
     }
 
 
-def _is_int(obj) -> bool:
-    """A JSON integer; true and false are bools, not integers."""
-    return isinstance(obj, int) and not isinstance(obj, bool)
-
-
 def _int_list(obj, what: str) -> list[int]:
-    if not isinstance(obj, list) or not all(_is_int(x) for x in obj):
+    # a JSON integer; true and false are bools, not integers
+    if not isinstance(obj, list) or not all(type(x) is int for x in obj):
         raise InputFormatError("%s must be a list of integers" % what)
     return obj
 
@@ -336,7 +332,7 @@ def scenario_from_json(obj) -> Scenario:
         if key not in obj:
             raise InputFormatError("missing key %r" % key)
     for key in ("genus", "degree", "n"):
-        if not _is_int(obj[key]):
+        if type(obj[key]) is not int:
             raise InputFormatError("%r must be an integer" % key)
     try:
         model = SurfaceModel(d=obj["degree"], n=obj["n"], g=obj["genus"])

@@ -25,7 +25,7 @@ def frac_to_json(value):
 def frac_from_json(obj) -> Fraction:
     if isinstance(obj, bool):
         raise InputFormatError("expected a rational, got a boolean")
-    if isinstance(obj, int):
+    if type(obj) is int:
         return Fraction(obj)
     if isinstance(obj, str):
         try:
@@ -55,8 +55,7 @@ def poly_from_json(obj) -> SparsePoly:
         if (
             not isinstance(exp, list)
             or len(exp) != 4
-            or not all(isinstance(e, int) and not isinstance(e, bool) and e >= 0
-                       for e in exp)
+            or not all(type(e) is int and e >= 0 for e in exp)
         ):
             raise InputFormatError("'exp' must be four nonnegative integers")
         key = tuple(exp)
@@ -72,7 +71,7 @@ def pencil_coefficients_from_json(obj) -> PencilCoefficients:
     if "genus" not in obj or "c" not in obj:
         raise InputFormatError("coefficient document needs 'genus' and 'c'")
     g = obj["genus"]
-    if not isinstance(g, int) or isinstance(g, bool):
+    if type(g) is not int:
         raise InputFormatError("'genus' must be an integer")
     table = obj["c"]
     if not isinstance(table, dict):

@@ -133,7 +133,9 @@ class DivisorClass:
         return DivisorClass(self.model, tuple(-x for x in self.coeffs))
 
     def __rmul__(self, c: int) -> "DivisorClass":
-        if not isinstance(c, int) or isinstance(c, bool):
+        try:
+            c = _integer(c)
+        except TypeError:
             return NotImplemented
         return DivisorClass(self.model, tuple(c * x for x in self.coeffs))
 
@@ -178,6 +180,7 @@ def gamma(model: SurfaceModel) -> DivisorClass:
 
 def exceptional(model: SurfaceModel, i: int) -> DivisorClass:
     """The class E_i; its coefficient tuple has m_i = -1."""
+    i = _integer(i)
     if not 1 <= i <= model.n:
         raise IndexError("point index out of range")
     coeffs = [0] * model.rank

@@ -205,7 +205,7 @@ ENTRY_POLICY = {
     "det": (mx.det, A2, False),
     "rank": (lambda m: mx._solve_left_and_rank(m, (0, 0))[1], ((1, 2), (2, 4), (0, 1)), False),
     "inverse": (mx.inverse, A2, False),
-    "solve_left": (lambda m: mx.solve_left(m, (1, 0)), A2, False),
+    "solve_left": (lambda m: mx._solve_left_and_rank(m, (1, 0))[0], A2, False),
     "invariant_factors": (mx.invariant_factors, ((2, 4), (6, 8), (4, 0)), True),
     "left_kernel_basis": (mx.left_kernel_basis, ((1, 2), (2, 4), (0, 1)), True),
     "cokernel_invariants": (lambda m: cokernel_invariants(m, 2), ((2, 4), (6, 8)), True),
