@@ -120,19 +120,9 @@ class _State:
 # germ bookkeeping
 
 
-def _u_part(f: SparsePoly, k: int) -> SparsePoly:
-    """Coefficient of u^k as a polynomial in v."""
-    return f.coefficient("t", k)
-
-
-def _order(p: SparsePoly) -> int | None:
-    """v-order, or None for the zero polynomial."""
-    return None if p.is_zero() else p.order("y")
-
-
-def _lowest(p: SparsePoly) -> tuple[int, Fraction]:
-    k = p.order("y")
-    return k, p.coefficient("y", k).constant_term()
+def _tail_order(f: SparsePoly, k: int) -> int | None:
+    """Least j of the terms u^k v^j of f, or None if there is none."""
+    return min((exp[2] for exp in f.exponents() if exp[0] == k), default=None)
 
 
 def _pure_u_powers(f: SparsePoly) -> list[int]:
@@ -147,23 +137,21 @@ def _pure_u_powers(f: SparsePoly) -> list[int]:
 def _a_chain(state: _State) -> GermClassification:
     """Quadratic part is now lam * u^2; absorb the u-linear tail."""
     while True:
-        b_tail = _u_part(state.f, 1)
-        c_tail = _u_part(state.f, 0)
-        if b_tail.is_zero() and c_tail.is_zero():
+        f = state.f
+        k_b = _tail_order(f, 1)
+        k_c = _tail_order(f, 0)
+        if k_b is None and k_c is None:
             return state.done(
                 KIND_NOT_SIMPLE, None, "germ has a repeated branch u = 0"
             )
-        k_c = _order(c_tail)
-        k_b = _order(b_tail)
         if k_c is not None and (k_b is None or 2 * k_b > k_c):
             return state.done(KIND_A, k_c - 1, "normal form u^2 + v^%d" % k_c)
         # B is nonzero here (B = 0 with C != 0 decides above, B = C = 0
         # rejects); absorbing its lowest term feeds C eventually.
-        lam = _u_part(state.f, 2).constant_term()
+        lam = f.term(t=2)
         if lam == 0:
             raise InternalConsistencyError("lost the u^2 coefficient")
-        j, beta = _lowest(b_tail)
-        state.shift_u(beta / (2 * lam), j)
+        state.shift_u(f.term(t=1, y=k_b) / (2 * lam), k_b)
 
 
 # ---------------------------------------------------------------------------
@@ -178,26 +166,23 @@ def _d_chain(state: _State, kappa: Fraction) -> GermClassification:
     with u-exponent >= 2 is negligible automatically.
     """
     while True:
-        b_tail = _u_part(state.f, 1)
-        c_tail = _u_part(state.f, 0)
-        if b_tail.is_zero() and c_tail.is_zero():
+        f = state.f
+        k_b = _tail_order(f, 1)
+        r = _tail_order(f, 0)
+        if k_b is None and r is None:
             return state.done(
                 KIND_NOT_SIMPLE, None, "germ has a repeated branch u = 0"
             )
-        r = _order(c_tail)
-        k_b = _order(b_tail)
         if k_b is not None and (r is None or 2 * k_b <= r + 1):
-            j, beta = _lowest(b_tail)
-            state.shift_u(beta / (2 * kappa), j - 1)
+            state.shift_u(f.term(t=1, y=k_b) / (2 * kappa), k_b - 1)
             continue
         # Now r is set and every u v^j term is negligible; any pure-u term
         # that is not negligible blocks the normal form.
-        blocking = [h for h in _pure_u_powers(state.f) if h * (r - 1) <= 2 * r]
+        blocking = [h for h in _pure_u_powers(f) if h * (r - 1) <= 2 * r]
         if not blocking:
             return state.done(KIND_D, r + 1, "normal form u^2 v + v^%d" % r)
         h = blocking[0]
-        gamma = _u_part(state.f, h).constant_term()
-        state.shift_v(gamma / kappa, h - 2)
+        state.shift_v(f.term(t=h) / kappa, h - 2)
 
 
 def _e_chain(state: _State) -> GermClassification:
@@ -210,8 +195,8 @@ def _e_chain(state: _State) -> GermClassification:
     (2, 1) of (u, v): the germ is J10 or worse, not simple.  No coordinate
     change u -> u - s v^j (j >= 2) lowers those weights, so none is made.
     """
-    r_c = _order(_u_part(state.f, 0))
-    r_b = _order(_u_part(state.f, 1))
+    r_c = _tail_order(state.f, 0)
+    r_b = _tail_order(state.f, 1)
     if r_c == 4:
         return state.done(KIND_E, 6, "normal form u^3 + v^4")
     if r_b == 3 and (r_c is None or r_c >= 5):
@@ -223,9 +208,7 @@ def _e_chain(state: _State) -> GermClassification:
 
 def _classify_mult_two(state: _State) -> GermClassification:
     f = state.f
-    a = f.coefficient("t", 2).constant_term()
-    b = f.coefficient("t", 1).coefficient("y", 1).constant_term()
-    c = f.coefficient("y", 2).coefficient("t", 0).constant_term()
+    a, b, c = f.term(t=2), f.term(t=1, y=1), f.term(y=2)
     if b * b - 4 * a * c != 0:
         return state.done(KIND_A, 1, "nondegenerate quadratic part")
     if a == 0:
@@ -238,10 +221,7 @@ def _classify_mult_two(state: _State) -> GermClassification:
 
 def _classify_mult_three(state: _State) -> GermClassification:
     f = state.f
-    a0, a1, a2, a3 = (
-        f.coefficient("t", i).coefficient("y", 3 - i).constant_term()
-        for i in range(4)
-    )
+    a0, a1, a2, a3 = (f.term(t=i, y=3 - i) for i in range(4))
     # The cubic part a3 u^3 + a2 u^2 v + a1 u v^2 + a0 v^3 has the Hessian
     # h2 u^2 + h1 u v + h0 v^2 (up to a constant), and h1^2 - 4 h2 h0 is -3
     # times its discriminant.  The Hessian of a cube vanishes; that of a

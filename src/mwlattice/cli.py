@@ -54,9 +54,19 @@ _MAX_GENUS = 32
 
 
 def _load_json(path: str):
+    """The document in ``path``; an object that repeats a key is refused."""
+
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise InputFormatError("%s repeats the key %r" % (path, key))
+            obj[key] = value
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=unique)
     except OSError as exc:
         raise InputFormatError("cannot read %s: %s" % (path, exc)) from None
     except json.JSONDecodeError as exc:

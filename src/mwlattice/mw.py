@@ -12,7 +12,7 @@ invariant factors give the group, and the leading rows of U times the
 generators a basis of T.  T's basis and its complement stay plain integer
 rows: the rows are independent by construction, so a rank is a row count
 and no further elimination checks it.  ``mw_group`` needs only the factors
-and takes the cheaper route of ``lattice.cokernel_invariants``.
+and runs the same reduction without U.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .fibers import (
 from .lattice import (
     AbelianGroupInvariants,
     _group_from_factors,
-    cokernel_invariants,
     dual_gram,
     gram_matrix,
     orthogonal_complement,
@@ -51,8 +50,8 @@ def trivial_lattice_generators(scenario: Scenario) -> mx.IntMatrix:
 
 def mw_group(scenario: Scenario) -> AbelianGroupInvariants:
     """Invariants of NS(X)/T; the free part is the Mordell-Weil rank."""
-    gens = trivial_lattice_generators(scenario)
-    return cokernel_invariants(gens, scenario.model.rank)
+    factors = mx._smith_reduce(trivial_lattice_generators(scenario), track=False)[1]
+    return _group_from_factors(scenario.model.rank, factors)
 
 
 def mw_rank_by_formula(scenario: Scenario) -> int:

@@ -150,13 +150,13 @@ def branch_decomposition(disc: SparsePoly) -> BranchDecomposition:
 def contact_order_at_origin(branch: SparsePoly) -> int:
     """Vanishing order in y of the branch restricted to the line t = 0.
 
-    The contact point must already sit at the origin; no translation is
-    attempted here.
+    That is the least y-exponent of the t-free terms.  The contact point
+    must already sit at the origin; no translation is attempted here.
     """
-    restricted = branch.substitute_value("t", 0)
-    if restricted.is_zero():
+    order = min((exp[2] for exp in branch.exponents() if exp[0] == 0), default=None)
+    if order is None:
         raise ContactError("branch curve contains the line t = 0")
-    return restricted.order("y")
+    return order
 
 
 @dataclass(frozen=True)
@@ -213,11 +213,10 @@ def pencil_to_double_cover(pc: PencilCoefficients) -> DoubleCoverCoefficients:
     c20 = pc.coefficient(2, 0)
     linear = SparsePoly({(0, 0, k - 1, 0): value for k, value in pc.row(1).items()})
     square = linear * linear
-    b1 = []
-    for j in range(1, 2 * g + 2):
-        coef = square.coefficient("y", j - 1).constant_term()
-        b1.append(coef - 4 * c01 * pc.coefficient(2, j))
-    dc = DoubleCoverCoefficients(g=g, b0=4 * c01, b10=-4 * c20 * c01, b1=tuple(b1))
+    row2 = pc.row(2)
+    b1 = tuple(square.term(y=j - 1) - 4 * c01 * row2.get(j, 0)
+               for j in range(1, 2 * g + 2))
+    dc = DoubleCoverCoefficients(g=g, b0=4 * c01, b10=-4 * c20 * c01, b1=b1)
 
     expected = branch_decomposition(discriminant_in_x(pencil_equation(pc))).branch
     if dc.branch_polynomial() != expected:

@@ -16,7 +16,10 @@ constructor of ring results, which does not validate the exponents again
 (they are sums or shifts of valid exponents).
 
 ``terms`` gives the rational view, exponent -> ``Fraction``, built afresh
-on each call; code that needs only the exponents reads ``exponents()``.
+on each call; code that needs only the exponents reads ``exponents()``,
+and code that needs one coefficient reads ``term(t=1, y=2)``, a
+``Fraction`` read in place.  ``coefficient(var, power)`` returns a
+polynomial, the coefficient of var^power in the other variables.
 The string form lists terms in graded lexicographic order, which also
 fixes the serialization order.
 
@@ -200,8 +203,17 @@ class SparsePoly:
         return _make({e[:i] + (0,) + e[i + 1:]: c
                       for e, c in self._num.items() if e[i] == power}, self._den)
 
-    def constant_term(self) -> Fraction:
-        return Fraction(self._num.get(_ONE, 0), self._den)
+    def term(self, **powers: int) -> Fraction:
+        """Coefficient of one monomial, spelled as in ``monomial``: f.term(t=1, y=2).
+
+        A monomial with no term reads 0, and ``term()`` is the constant term.
+        """
+        e = [0, 0, 0, 0]
+        for var, p in powers.items():
+            e[_index(var)] = _integer(p)
+        if min(e) < 0:
+            raise ValueError("negative power")
+        return Fraction(self._num.get(tuple(e), 0), self._den)
 
     def substitute_value(self, var: str, value) -> "SparsePoly":
         """Plug a rational constant into one variable."""

@@ -8,11 +8,15 @@ polynomials produce byte-identical documents.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import InputFormatError, MWLatticeError
 from .pencil import DoubleCoverCoefficients, PencilCoefficients
 from .poly import SparsePoly, _graded_order
+
+# A coefficient key "i,j" as "%d,%d" writes it: no sign, space or leading zero.
+_INDEX_KEY = re.compile(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)")
 
 
 def frac_to_json(value):
@@ -78,14 +82,10 @@ def pencil_coefficients_from_json(obj) -> PencilCoefficients:
         raise InputFormatError("'c' must map 'i,j' keys to rationals")
     coeffs = {}
     for key, raw in table.items():
-        parts = key.split(",") if isinstance(key, str) else []
-        if len(parts) != 2:
+        match = _INDEX_KEY.fullmatch(key) if isinstance(key, str) else None
+        if match is None:
             raise InputFormatError("coefficient key %r is not 'i,j'" % (key,))
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise InputFormatError("coefficient key %r is not 'i,j'" % (key,)) from None
-        coeffs[(i, j)] = frac_from_json(raw)
+        coeffs[int(match[1]), int(match[2])] = frac_from_json(raw)
     try:
         return PencilCoefficients.from_map(g, coeffs)
     except MWLatticeError as exc:

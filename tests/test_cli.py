@@ -97,6 +97,24 @@ def test_exit2_invalid_json(capsys, tmp_path):
     assert "not valid JSON: line" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"genus": 1, "c": {"2,0": 1, "0,1": 1, "1,1": 3, "01,1": 4}}',
+     "coefficient key '01,1' is not 'i,j'"),
+    ('{"genus": 1, "c": {"2,0": 1, "0,1": 1, "1,1": 3, "1,1": 4}}',
+     "repeats the key '1,1'"),
+], ids=["leading-zero", "repeated"])
+@pytest.mark.parametrize("command", ["disc", "transfer"])
+def test_exit2_coefficient_key_naming_an_index_twice(capsys, tmp_path, text, message, command):
+    # both files read as c_{1,1} = 4 before, the 3 dropped silently
+    path = tmp_path / "coeffs.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "pencil", command, "--coeffs", str(path))
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_exit2_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "mw", "--scenario", str(tmp_path / "nope.json"))
     assert code == 2

@@ -49,6 +49,7 @@ NUMBER_RULE = {
     "monomial power": (lambda v: SparsePoly.monomial(1, x=v), ValueError, EXPONENT),
     "divide_by": (lambda v: (T * T * Y).divide_by("t", v), TypeError, INTEGER),
     "coefficient": (lambda v: (T * T * Y).coefficient("t", v), TypeError, INTEGER),
+    "term": (lambda v: (T * T * Y).term(t=v, y=1), TypeError, INTEGER),
     "pow": (lambda v: (T + Y) ** v, TypeError, INTEGER),
     "exceptional": (lambda v: exceptional(MODEL, v), TypeError, INTEGER),
     "max_steps": (lambda v: classify_ade_germ((T + Y) ** 2 + Y ** 5, max_steps=v),

@@ -6,6 +6,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwlattice.errors import CoefficientError, ContactError, ShapeError
 from mwlattice.oracles import factored_pencil_discriminant
@@ -154,6 +156,28 @@ def test_contact_order():
 def test_contact_order_rejects_contained_line():
     with pytest.raises(ContactError):
         contact_order_at_origin(T * Y ** 3 - T)
+
+
+_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    max_size=6,
+).map(SparsePoly)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(f=_polys)
+def test_contact_order_matches_restriction_to_t_zero(f):
+    # the reference restricts to the line t = 0 and reads the y-order there;
+    # x and z terms stay in the restriction and count as they do there
+    restricted = f.substitute_value("t", 0)
+    if restricted.is_zero():
+        with pytest.raises(ContactError):
+            contact_order_at_origin(f)
+        with pytest.raises(ContactError):
+            contact_order_at_origin(T * f)
+    else:
+        assert contact_order_at_origin(f) == restricted.order("y")
 
 
 def test_transfer_minimal_frozen():

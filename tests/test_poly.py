@@ -25,7 +25,7 @@ def test_constructors():
     assert SparsePoly.zero().is_zero()
     assert SparsePoly.const(0).is_zero()
     five = SparsePoly.const(5)
-    assert five.constant_term() == 5
+    assert five.term() == 5
     assert SparsePoly.variable("t") == T
     assert SparsePoly.monomial(3, x=2, y=1) == SparsePoly.const(3) * X * X * Y
     with pytest.raises(ValueError):
@@ -69,8 +69,9 @@ def test_monomial_rejects_bad_powers(power):
     lambda p: p.divide_by("w", 0),
     lambda p: SparsePoly.variable("w"),
     lambda p: SparsePoly.monomial(1, w=1),
+    lambda p: p.term(w=1),
 ], ids=["degree", "order", "uses", "coefficient", "substitute",
-        "substitute_value", "divide_by", "variable", "monomial"])
+        "substitute_value", "divide_by", "variable", "monomial", "term"])
 def test_unknown_variable_is_a_value_error(call):
     with pytest.raises(ValueError, match="unknown variable 'w'"):
         call(T * Y + 1)
@@ -108,7 +109,7 @@ def test_fraction_coefficients_pass_through():
     half = Fraction(1, 2)
     assert poly._rational(half) is half
     assert poly._rational(3) == Fraction(3)
-    assert SparsePoly.const(half).constant_term() == half
+    assert SparsePoly.const(half).term() == half
 
 
 def test_zero_coefficients_dropped():
@@ -173,8 +174,20 @@ def test_coefficient_extraction():
     assert p.coefficient("t", 2) == 3 * Y
     assert p.coefficient("t", 0) == -Y
     assert p.coefficient("t", 5).is_zero()
-    assert p.constant_term() == 0
-    assert (p + 7).constant_term() == 7
+    assert p.term() == 0
+    assert (p + 7).term() == 7
+
+
+def test_term_reads_one_coefficient():
+    p = 3 * T * T * Y + Fraction(2, 3) * T * Y - Y + 5
+    assert p.term(t=2, y=1) == 3
+    assert p.term(t=1, y=1) == Fraction(2, 3)
+    assert p.term(y=1) == -1
+    assert p.term() == 5
+    assert p.term(t=1) == 0
+    assert type(p.term(x=4)) is Fraction
+    with pytest.raises(ValueError, match="negative power"):
+        p.term(y=-1)
 
 
 def test_substitute_value():
@@ -345,7 +358,7 @@ def test_integer_kernel_matches_fraction_model():
             assert got == SparsePoly(want)
             assert str(got) == _ref_str(want)
         assert (a == b) == (ma == mb)
-        assert a.constant_term() == ma.get((0, 0, 0, 0), 0)
+        assert a.term() == ma.get((0, 0, 0, 0), 0)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -354,6 +367,15 @@ def test_integer_kernel_matches_fraction_model():
 def test_substitute_matches_reference(f, r, var, value):
     assert f.substitute(var, r) == _substitute_by_coefficients(f, var, r)
     assert f.substitute_value(var, value) == f.substitute(var, SparsePoly.const(value))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(f=_polys, e=st.tuples(*[st.integers(0, 3)] * 4))
+def test_term_matches_terms(f, e):
+    # e ranges over the exponents _polys draws from, so it often names no term
+    assert f.term(**dict(zip(VARIABLES, e))) == f.terms.get(e, 0)
+    for present in f.exponents():
+        assert f.term(**dict(zip(VARIABLES, present))) == f.terms[present]
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)

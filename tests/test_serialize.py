@@ -137,6 +137,25 @@ def test_pencil_coefficients_from_json_rejections():
         )
 
 
+@pytest.mark.parametrize("key", [
+    "01,1", " 1,1", "1, 1", "1,1 ", "1,0_1", "+1,1", "-0,1", "1,\u0661",
+    "1,1,", "1", "",
+])
+def test_pencil_coefficient_keys_are_written_as_d_comma_d(key):
+    # int() read the first eight as an index, so "01,1": 4 silently
+    # replaced c_{1,1} = 3 by 4
+    doc = {"genus": 1, "c": {"2,0": 1, "0,1": 1, "1,1": 3, key: 4}}
+    with pytest.raises(InputFormatError, match="coefficient key"):
+        pencil_coefficients_from_json(doc)
+
+
+def test_pencil_coefficient_keys_read_every_digit():
+    pc = PencilCoefficients.from_map(5, {(2, 0): 1, (0, 1): 1, (2, 10): 3, (1, 6): 7})
+    doc = pencil_coefficients_to_json(pc)
+    assert set(doc["c"]) == {"2,0", "0,1", "2,10", "1,6"}
+    assert pencil_coefficients_from_json(doc) == pc
+
+
 def test_pencil_coefficients_from_json_raises_programming_errors(monkeypatch):
     # only MWLatticeError is bad data; a TypeError is a bug and must surface
     def broken(g, coeffs):
