@@ -74,6 +74,10 @@ def _load_json(path: str):
             "%s is not valid JSON: line %d column %d: %s"
             % (path, exc.lineno, exc.colno, exc.msg)
         ) from None
+    except InputFormatError:
+        raise
+    except (ValueError, RecursionError) as exc:  # not UTF-8, a huge int, deep nesting
+        raise InputFormatError("%s is not readable JSON: %s" % (path, exc)) from None
 
 
 def _emit(text: str, out_path: str | None) -> None:

@@ -1,7 +1,7 @@
 """Integer lattices as plain rows under an ambient bilinear form.
 
 A sublattice of Z^N is a tuple of integer basis rows; with the ambient
-form F, its Gram matrix is B F B^T (``gram_matrix``) and its orthogonal
+form F, its Gram matrix is B F B^T (``matrices.matmul``) and its orthogonal
 complement is again a tuple of rows (``orthogonal_complement``).
 Everything is exact: determinants are integers or rationals, short vectors
 come from an integer Fincke-Pohst search, and quotient groups are read off
@@ -102,12 +102,6 @@ class AbelianGroupInvariants:
             parts.append("Z^%d" % self.free_rank)
         parts.extend("Z/%d" % t for t in self.torsion)
         return " x ".join(parts) if parts else "0"
-
-
-def gram_matrix(form: Sequence[Sequence[int]], rows: Sequence[Sequence[int]]):
-    """Gram matrix B F B^T of the given integer rows under the integer form."""
-    rows = mx.int_matrix(rows)
-    return mx.matmul(mx.matmul(rows, mx.int_matrix(form)), mx.transpose(rows))
 
 
 def cokernel_invariants(rows: Sequence[Sequence[int]], ambient_rank: int) -> AbelianGroupInvariants:

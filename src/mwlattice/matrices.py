@@ -10,9 +10,10 @@ number: ints and numpy integers (read as ints) pass, and ``_exact`` also
 passes a Fraction; a bool, float, string or Decimal is a TypeError.  Matrix
 entries are read in one place, ``as_integer_matrix`` (``int_matrix`` is its
 integer view), which runs every entry through ``_exact``.  A public function
-reads its input there once; ``_smith_reduce`` and ``_hermite_rows`` take
-checked int rows.  The models, divisor classes, polynomials, pencils and
-germs read the numbers they are given through the same two functions.
+reads its input there once; ``_smith_reduce``, ``_hermite_rows`` and
+``_invariant_factors`` take checked int rows.  The models, divisor classes,
+polynomials, pencils and germs read the numbers they are given through the
+same two functions.
 
 There is one matrix product, ``matmul``.  It reads each operand once, with
 ``np.array``, so a ragged operand is a ValueError.  When both reads are 2-D
@@ -42,9 +43,9 @@ carries only the row transform U (``U @ M @ V == S``; V is never built):
 the rows of U past the rank span the left kernel (``left_kernel_basis``),
 and the leading rows of ``U @ M`` are a basis of the row lattice, which
 ``mw.mwl`` reads off the same reduction as the invariant factors.
-``invariant_factors`` reads only the diagonal, so it first reduces a tall
-matrix (the root list of ``mw``, 552 x 24 at g = 5) to a Hermite form of at
-most ``cols`` rows by unimodular row operations on sparse rows (Cohen,
+``invariant_factors`` reads only the diagonal, so its core first reduces a
+tall matrix (the root list of ``mw``, 552 x 24 at g = 5) to a Hermite form
+of at most ``cols`` rows by unimodular row operations on sparse rows (Cohen,
 GTM 138, section 2.4), and runs the Smith reduction without U on that block.
 """
 
@@ -393,10 +394,13 @@ def _hermite_rows(m: Sequence[Sequence[int]]) -> list[dict]:
 
 def invariant_factors(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Nonzero diagonal entries of the Smith normal form of ``m``."""
-    if not m or not m[0]:
-        return ()
+    return _invariant_factors(int_matrix(m)) if m and m[0] else ()
+
+
+def _invariant_factors(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """:func:`invariant_factors` of checked int rows, at least one of them."""
     cols = len(m[0])
-    block = [[row.get(j, 0) for j in range(cols)] for row in _hermite_rows(int_matrix(m))]
+    block = [[row.get(j, 0) for j in range(cols)] for row in _hermite_rows(m)]
     return _smith_reduce(block, track=False)[1]
 
 

@@ -9,10 +9,14 @@ is positive definite whenever the scenario is consistent.
 
 ``mwl`` reduces the generator matrix once, with its row transform U: the
 invariant factors give the group, and the leading rows of U times the
-generators a basis of T.  T's basis and its complement stay plain integer
-rows: the rows are independent by construction, so a rank is a row count
-and no further elimination checks it.  ``mw_group`` needs only the factors
-and runs the same reduction without U.
+generators a basis B of T.  One product F B^T, F the sign-flipped form,
+gives T's Gram matrix B (F B^T) and the complement C (the rows of the Smith
+transform of F B^T past its rank), whose Gram matrix is C F C^T.  These
+integer rows pass between stages unchecked; they are independent by
+construction, so a rank is a row count.  An integer G has an integral
+inverse iff det G = +-1 (det G det G^-1 = 1; G^-1 = +-adj G), so the D_n^+
+check reads integrality off the discriminant.  ``mw_group`` runs the first
+reduction without U.
 """
 
 from __future__ import annotations
@@ -33,8 +37,6 @@ from .lattice import (
     AbelianGroupInvariants,
     _group_from_factors,
     dual_gram,
-    gram_matrix,
-    orthogonal_complement,
     short_vectors_with_norms,
 )
 from .scenarios import Scenario
@@ -86,29 +88,30 @@ def mwl(scenario: Scenario) -> MWLReport:
     Mordell-Weil lattice itself with its height pairing.  One short-vector
     search up to norm 2 gives both the root count and the D_n^+ check; it
     raises FormError unless the lattice is positive definite.  The group
-    and T's basis come from one Smith reduction of T's generators (see the
-    module docstring); the complement is the left kernel of F B^T, with F
-    the sign-flipped intersection form and B T's basis, and the two Gram
-    matrices are B F B^T and C F C^T of those rows.
+    and T's basis come from one Smith reduction, the complement and both
+    Gram matrices from one product F B^T (see the module docstring).
     """
     gens = trivial_lattice_generators(scenario)
     u, factors = mx._smith_reduce(gens, track=True)
     group = _group_from_factors(scenario.model.rank, factors)
     form = scenario.model.neg_intersection_matrix()
     t_basis = mx.matmul(u[:len(factors)], gens)
-    t_gram = gram_matrix(form, t_basis)
+    fbt = mx.matmul(form, mx.transpose(t_basis))
+    t_gram = mx.matmul(t_basis, fbt)
     t_disc = abs(mx.det(t_gram)) if t_gram else Fraction(1)
-    complement = orthogonal_complement(t_basis, form)
+    w, kernel_factors = mx._smith_reduce(fbt, track=True)
+    complement = mx.mat(w[len(kernel_factors):])
     if complement:
-        dual, c_disc = dual_gram(gram_matrix(form, complement))
+        dual, c_disc = dual_gram(mx.matmul(mx.matmul(complement, form), mx.transpose(complement)))
         discriminant = Fraction(1) / c_disc
         found = short_vectors_with_norms(dual, 2)
         root_count = sum(1 for _, nv in found if nv == 2)
-        identification = _identify_dn_plus(dual, found, discriminant)
+        identification = (_identify_unimodular(len(dual), found) if c_disc == 1
+                          else _miss("Gram matrix is not integral"))
     else:
         dual, discriminant = (), Fraction(1)
         root_count = 0
-        identification = LatticeIdentification(None, "rank is 0")
+        identification = _miss("rank is 0")
     if group.free_rank != len(complement):
         raise FormError(
             "complement rank %d does not match Mordell-Weil rank %d"
@@ -144,6 +147,10 @@ class LatticeIdentification:
         return self.label is not None
 
 
+def _miss(reason: str) -> LatticeIdentification:
+    return LatticeIdentification(None, reason)
+
+
 def identify_dn_plus(gram) -> LatticeIdentification:
     """Recognize the unimodular lattices D_n^+ (and E_8 for n = 8).
 
@@ -151,59 +158,50 @@ def identify_dn_plus(gram) -> LatticeIdentification:
     whose norm-2 vectors span a sublattice of index 2 with 2n(n-1) roots;
     for n = 8 the 240 roots span everything and the lattice is E_8.
     """
-    return _identify_dn_plus(gram, None, None)
-
-
-def _identify_dn_plus(gram, found, det) -> LatticeIdentification:
-    """:func:`identify_dn_plus`, given what the caller already knows.
-
-    ``found`` may carry ``short_vectors_with_norms(gram, 2)`` and ``det``
-    |det gram|; either is computed here when None.
-    """
-
-    def miss(reason: str) -> LatticeIdentification:
-        return LatticeIdentification(None, reason)
-
     gram = tuple(map(tuple, gram))
     n = len(gram)
     if any(len(row) != n for row in gram):
-        return miss("Gram matrix is not square")
+        return _miss("Gram matrix is not square")
     if n == 0:
-        return miss("rank is 0")
+        return _miss("rank is 0")
     try:
         igram = mx.int_matrix(gram)
     except ValueError:
-        return miss("Gram matrix is not integral")
-    d = abs(mx.det(igram)) if det is None else det
+        return _miss("Gram matrix is not integral")
+    d = abs(mx.det(igram))
     if d != 1:
-        return miss("determinant is %s, expected 1" % d)
-    if found is None:
-        try:
-            found = short_vectors_with_norms(igram, 2)
-        except FormError:
-            return miss("Gram matrix is not positive definite")
+        return _miss("determinant is %s, expected 1" % d)
+    try:
+        found = short_vectors_with_norms(igram, 2)
+    except FormError:
+        return _miss("Gram matrix is not positive definite")
+    return _identify_unimodular(n, found)
+
+
+def _identify_unimodular(n: int, found) -> LatticeIdentification:
+    """:func:`identify_dn_plus` of a positive definite unimodular lattice of
+    rank n > 0, from ``found``, its ``short_vectors_with_norms(gram, 2)``."""
     # Z^n carries the same root data as D_n^+ but contains unit vectors;
     # the two coincide only at n = 4, where D_4^+ is Z^4.
     if n != 4 and any(nv == 1 for _, nv in found):
-        return miss("lattice contains norm-1 vectors")
+        return _miss("lattice contains norm-1 vectors")
     roots = [v for v, nv in found if nv == 2]
     count = len(roots)
     if count == 0:
-        return miss("lattice has no norm-2 vectors")
+        return _miss("lattice has no norm-2 vectors")
     # ``found`` is sorted and closed under negation, and negation reverses
     # the order, so the upper half holds one root of each +- pair: the
-    # same span at half the rows.
-    factors = mx.invariant_factors(roots[count // 2:])
-    full_rank = len(factors) == n
-    if not full_rank:
-        return miss("norm-2 vectors span rank %d < %d" % (len(factors), n))
+    # same span at half the rows.  They are the search's Python ints.
+    factors = mx._invariant_factors(roots[count // 2:])
+    if len(factors) != n:
+        return _miss("norm-2 vectors span rank %d < %d" % (len(factors), n))
     if n == 8 and count == 240 and all(f == 1 for f in factors):
         return LatticeIdentification("D_8^+ = E_8", "240 roots spanning everything")
     if count != 2 * n * (n - 1):
-        return miss("root count %d, expected %d" % (count, 2 * n * (n - 1)))
+        return _miss("root count %d, expected %d" % (count, 2 * n * (n - 1)))
     torsion = [f for f in factors if f > 1]
     if torsion != [2]:
-        return miss("root sublattice index invariants %s, expected [2]" % (torsion,))
+        return _miss("root sublattice index invariants %s, expected [2]" % (torsion,))
     return LatticeIdentification("D_%d^+" % n, "%d roots of index-2 span" % count)
 
 

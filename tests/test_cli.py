@@ -115,6 +115,32 @@ def test_exit2_coefficient_key_naming_an_index_twice(capsys, tmp_path, text, mes
     assert "Traceback" not in err
 
 
+BAD_JSON = {
+    # Python refuses to parse an int of more than 4,300 digits
+    "long-int": (b'{"genus": 1' + b"0" * 5000 + b', "c": {}}', "is not readable JSON: "),
+    # deeper than the decoder's recursion limit
+    "deep": (b"[" * 100000, "is not readable JSON: "),
+    # a UTF-16 byte order mark is not UTF-8
+    "utf16-bom": (b"\xff\xfe{}", "is not readable JSON: "),
+    # already an input error: reported as it is, not wrapped again
+    "repeated-key": (b'{"a": 1, "a": 2}', "repeats the key 'a'\n"),
+}
+
+
+@pytest.mark.parametrize("doc", BAD_JSON)
+@pytest.mark.parametrize("reader", [("mw", "--scenario"), ("pencil", "disc", "--coeffs"),
+                                    ("pencil", "ade", "--germ")], ids=["mw", "disc", "ade"])
+def test_exit2_unreadable_json(capsys, tmp_path, doc, reader):
+    data, message = BAD_JSON[doc]
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, *reader, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: %s %s" % (path, message))
+    assert "Traceback" not in err
+
+
 def test_exit2_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "mw", "--scenario", str(tmp_path / "nope.json"))
     assert code == 2

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mwlattice import matrices as mx
@@ -186,6 +186,30 @@ _INTEGER_RECTANGULAR = st.builds(
     lambda m, scales: tuple(tuple(c * x for x in row) for c, row in zip(scales, m)),
     _SHAPES.flatmap(lambda shape: _matrices(*shape, st.integers(-9, 9))),
     st.lists(st.sampled_from((1, 2, 3, 4, 6)), min_size=4, max_size=4))
+
+
+def _unit_triangular(n, entries):
+    return st.lists(entries, min_size=n * n, max_size=n * n).map(lambda xs: tuple(
+        tuple(1 if i == j else xs[i * n + j] if j < i else 0 for j in range(n))
+        for i in range(n)))
+
+
+# Products L U^T of unit lower triangular matrices have determinant 1.
+_UNIMODULAR = st.integers(1, 5).flatmap(lambda n: st.builds(
+    lambda low, up: mx.matmul(low, mx.transpose(up)),
+    _unit_triangular(n, st.integers(-3, 3)), _unit_triangular(n, st.integers(-3, 3))))
+_INTEGER_SQUARE = st.integers(1, 5).flatmap(lambda n: _matrices(n, n, st.integers(-3, 3)))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.one_of(_INTEGER_SQUARE, _UNIMODULAR))
+def test_inverse_is_integral_iff_det_is_a_unit(m):
+    # det G * det G^-1 = 1, and G^-1 = +-adj G when |det G| = 1: ``mwl``
+    # reads the dual Gram matrix's integrality off the discriminant.
+    d = determinant_by_expansion(m)
+    assume(d != 0)
+    integral = all(x.denominator == 1 for row in mx.inverse(m) for x in row)
+    assert integral == (abs(d) == 1)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)

@@ -14,7 +14,7 @@ from mwlattice.lattice import AbelianGroupInvariants, short_vectors_with_norms
 from mwlattice.mw import (
     EquivalenceReport,
     LatticeIdentification,
-    _identify_dn_plus,
+    _identify_unimodular,
     equivalence_check,
     identify_dn_plus,
     mw_group,
@@ -134,6 +134,30 @@ def test_mwl_reports_why_identification_failed_or_held(name, reason):
         expected.label, expected.reason)
 
 
+def pinned_scenarios():
+    """The 38 scenarios of ``test_lattice_path_is_pinned``."""
+    scenarios = [entry.scenario for entry in build_catalog()]
+    scenarios += [scenario_all_irreducible(g, d) for g in (1, 2, 3) for d in range(g + 2)]
+    scenarios += [seeded_transformable_scenario(g, seed) for g in (1, 2, 3) for seed in range(4)]
+    return scenarios
+
+
+def test_mwl_identification_is_the_public_one():
+    # ``mwl`` reads integrality off its discriminant and hands its own search
+    # to the tail; the public path gates, expands det and searches again.
+    scenarios = pinned_scenarios() + [scenario_all_irreducible(g) for g in (4, 5)]
+    reasons = set()
+    for sc in scenarios:
+        report = mwl(sc)
+        expected = identify_dn_plus(report.gram)
+        assert (report.identified_as, report.identification_reason) == (
+            expected.label, expected.reason), sc.name
+        reasons.add(report.identification_reason)
+    assert len(scenarios) == 40
+    assert {"rank is 0", "Gram matrix is not integral", "240 roots spanning everything",
+            "760 roots of index-2 span", "1104 roots of index-2 span"} <= reasons
+
+
 @pytest.mark.parametrize("g", [1, 2])
 def test_mwl_takes_no_determinant_of_the_dual_gram(g, monkeypatch):
     # dual_gram has already given |det| of the complement's Gram matrix,
@@ -170,6 +194,26 @@ def test_mwl_reduces_the_generators_once(monkeypatch):
             seen.append((name, tuple(map(tuple, m)))) or real(m, *a, **kw)))
     mwl(sc)
     assert [name for name, m in seen if m == gens] == ["_smith_reduce"]
+
+
+def test_mwl_reads_each_matrix_once(monkeypatch):
+    # One product F B^T gives T's Gram matrix and the complement, and the
+    # stages pass checked int rows on: the gate reads only T's Gram matrix
+    # (det), the complement's (dual_gram) and the rational dual (the search).
+    scenarios = [entry.scenario for entry in build_catalog()]
+    scenarios += [scenario_all_irreducible(g, d) for g in range(1, 6) for d in range(g + 2)]
+    calls = []
+    for name in ("as_integer_matrix", "matmul"):
+        real = getattr(mx, name)
+        monkeypatch.setattr(mx, name, lambda *a, real=real, name=name: (
+            calls.append(name) or real(*a)))
+    checked = 0
+    for sc in scenarios:
+        calls.clear()
+        if mwl(sc).rank:
+            assert (calls.count("as_integer_matrix"), calls.count("matmul")) == (3, 5), sc.name
+            checked += 1
+    assert (len(scenarios), checked) == (39, 36)  # three catalog entries have rank 0
 
 
 def seeded_transformable_scenario(g, seed):
@@ -298,9 +342,12 @@ def test_mwl_trivial_lattice_discriminant():
 
 
 def identify_both_ways(gram):
-    """identify_dn_plus searching itself, checked against a precomputed search."""
+    """identify_dn_plus, checked on unimodular input against the tail that
+    ``mwl`` calls with its own search."""
     result = identify_dn_plus(gram)
-    assert _identify_dn_plus(gram, short_vectors_with_norms(gram, 2), None) == result
+    igram, den = mx.as_integer_matrix(gram)
+    if gram and den == 1 and abs(mx.det(igram)) == 1:
+        assert _identify_unimodular(len(gram), short_vectors_with_norms(gram, 2)) == result
     return result
 
 
