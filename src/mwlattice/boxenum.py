@@ -52,7 +52,7 @@ from . import matrices as mx
 from .lattice import _bareiss_ldl, _check_square
 
 _TILE = 1 << 20  # norms computed per tile
-_INT64_NORM_LIMIT = 1 << 50
+_FLOAT64_EXACT_LIMIT = 1 << 50
 
 _DEFAULT_BACKEND = "numpy"
 _BACKEND = _DEFAULT_BACKEND
@@ -138,13 +138,13 @@ def _enumerate_numpy(gram, radii, tn, td):
     return [tuple(v) for v in _np.concatenate([found, -found]).tolist()]
 
 
-def _box_fits_int64(gram, radii, tn, td) -> bool:
+def _box_fits_float64(gram, radii, tn, td) -> bool:
     worst = 0
     n = len(radii)
     for i in range(n):
         for j in range(n):
             worst += abs(gram[i][j]) * radii[i] * radii[j]
-    return td * worst < _INT64_NORM_LIMIT and abs(tn) < _INT64_NORM_LIMIT
+    return td * worst < _FLOAT64_EXACT_LIMIT and abs(tn) < _FLOAT64_EXACT_LIMIT
 
 
 def _box_radii(int_gram: Sequence[Sequence[int]], threshold) -> list[int]:
@@ -181,7 +181,7 @@ def box_short_vectors(gram: Sequence[Sequence], bound) -> tuple[tuple[int, ...],
     radii = _box_radii(int_gram, threshold)
     tn, td = threshold.numerator, threshold.denominator
 
-    if _BACKEND == "numpy" and _box_fits_int64(int_gram, radii, tn, td):
+    if _BACKEND == "numpy" and _box_fits_float64(int_gram, radii, tn, td):
         found = _enumerate_numpy(int_gram, radii, tn, td)
     else:
         found = _enumerate_python(int_gram, radii, tn, td)

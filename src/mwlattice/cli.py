@@ -21,7 +21,7 @@ import sys
 
 from .ade import classify_ade_germ
 from .errors import InputFormatError, InternalConsistencyError, MWLatticeError
-from .fibers import classify_shape, dual_graph, fiber_multiplicities, to_dot
+from .fibers import classify_shape, to_dot
 from .mw import mw_rank_by_formula, mwl
 from .pencil import (
     branch_decomposition,
@@ -33,10 +33,10 @@ from .pencil import (
     random_pencil,
 )
 from .scenarios import (
+    _validate,
     scenario_all_irreducible,
     scenario_from_json,
     scenario_trivial_mw,
-    validate_scenario,
 )
 from .serialize import (
     double_cover_to_json,
@@ -112,11 +112,22 @@ def _from_input(what: str, build, *parts):
         raise InputFormatError("bad %s: %s" % (what, exc)) from None
 
 
+def _read(what: str, reader, path: str):
+    """The JSON document at ``path``, read by ``reader``.
+
+    Python's limit on int/str conversions guards the reading.  Then it is
+    lifted, so that every result of an accepted input is written exactly;
+    ``main`` puts it back.
+    """
+    document = _from_input(what, reader, _load_json(path))
+    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.7 and later
+        sys.set_int_max_str_digits(0)
+    return document
+
+
 def _resolve_scenario(args):
     if args.scenario:
-        return _from_input(
-            "scenario file", scenario_from_json, _load_json(args.scenario)
-        )
+        return _read("scenario file", scenario_from_json, args.scenario)
     if args.g is None:
         raise InputFormatError("--g is required with a built-in scenario")
     build = scenario_trivial_mw if args.trivial_scenario else scenario_all_irreducible
@@ -124,17 +135,17 @@ def _resolve_scenario(args):
 
 
 def _valid_scenario(args):
-    """The scenario the arguments name, or None after printing its FAIL lines."""
+    """The named scenario (None after printing its FAIL lines) and its fibre data."""
     scenario = _resolve_scenario(args)
-    failures = validate_scenario(scenario).failures()
-    for check in failures:
+    report, fibres = _validate(scenario)
+    for check in report.failures():
         detail = ": %s" % check.detail if check.detail else ""
         print("FAIL %s%s" % (check.name, detail))
-    return None if failures else scenario
+    return (scenario if report.ok else None), fibres
 
 
 def _cmd_mw(args) -> int:
-    scenario = _valid_scenario(args)
+    scenario, _ = _valid_scenario(args)
     if scenario is None:
         return 1
     report = mwl(scenario)
@@ -178,15 +189,13 @@ def _cmd_mw(args) -> int:
 
 
 def _cmd_fiber(args) -> int:
-    scenario = _valid_scenario(args)
+    scenario, fibres = _valid_scenario(args)
     if scenario is None:
         return 1
-    rows = []
-    for index, fib in enumerate(scenario.fibers):
-        graph = dual_graph(fib.components)
-        mults = fiber_multiplicities(fib.components, scenario.fiber)
-        shape = classify_shape(graph, mults)
-        rows.append((index, len(fib), mults, shape))
+    rows = [
+        (index, len(mults), mults, classify_shape(graph, mults))
+        for index, (graph, mults) in enumerate(fibres)
+    ]
     if args.report == "json":
         doc = {
             "scenario": scenario.name,
@@ -214,11 +223,7 @@ def _cmd_fiber(args) -> int:
 
 def _resolve_pencil(args):
     if args.coeffs:
-        return _from_input(
-            "coefficient file",
-            pencil_coefficients_from_json,
-            _load_json(args.coeffs),
-        )
+        return _read("coefficient file", pencil_coefficients_from_json, args.coeffs)
     if not args.random:
         raise InputFormatError("provide --coeffs FILE or --random --seed N")
     if args.g is None or args.seed is None:
@@ -258,7 +263,7 @@ def _cmd_pencil_disc(args) -> int:
 
 
 def _cmd_pencil_ade(args) -> int:
-    germ = _from_input("germ file", poly_from_json, _load_json(args.germ))
+    germ = _read("germ file", poly_from_json, args.germ)
     # Rejections of the germ itself (wrong variables, too shallow) are
     # input problems here, not classifier verdicts.
     verdict = _from_input(
@@ -301,7 +306,7 @@ def _cmd_pencil_transfer(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    scenario = _valid_scenario(args)
+    scenario, fibres = _valid_scenario(args)
     if scenario is None:
         return 1
     if not scenario.fibers:
@@ -311,14 +316,7 @@ def _cmd_export(args) -> int:
         if not 0 <= args.fiber < len(scenario.fibers):
             raise InputFormatError("fiber index %d out of range" % args.fiber)
         indices = [args.fiber]
-    chunks = []
-    for index in indices:
-        fib = scenario.fibers[index]
-        graph = dual_graph(fib.components)
-        mults = fiber_multiplicities(fib.components, scenario.fiber)
-        chunks.append(
-            to_dot(graph, mults, name="%s_fiber%d" % (scenario.name, index))
-        )
+    chunks = [to_dot(*fibres[k], name="%s_fiber%d" % (scenario.name, k)) for k in indices]
     _emit("\n".join(chunks), args.out)
     return 0
 
@@ -451,11 +449,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
         return args.func(args)
     except InputFormatError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

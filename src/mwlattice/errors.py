@@ -2,10 +2,13 @@
 
 All errors raised for *mathematically invalid input* derive from
 :class:`MWLatticeError` so callers (and the CLI) can distinguish bad data
-from programming mistakes.
+from programming mistakes.  ``_shown`` writes the numbers in their
+messages, also those too long for Python's int-to-str conversion.
 """
 
 from __future__ import annotations
+
+from decimal import Decimal
 
 
 class MWLatticeError(ValueError):
@@ -50,3 +53,29 @@ class ContactError(MWLatticeError):
 
 class InternalConsistencyError(MWLatticeError):
     """Two independent computations of the same quantity disagree."""
+
+
+class _Digits:
+    """An integer as a message prints it: in full, or as its digit count where
+    Python's limit on int-to-str conversion refuses to print it."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __repr__(self) -> str:
+        try:
+            return repr(self.value)
+        except ValueError:
+            sign = "-" if self.value < 0 else ""
+            return "%s<%d digits>" % (sign, Decimal(self.value).adjusted() + 1)
+
+
+def _shown(value) -> str:
+    """``str(value)`` for an int, or a tuple or list of ints, in a message; an
+    integer too long to print is written as ``<N digits>``."""
+    try:
+        return str(value)
+    except ValueError:
+        if isinstance(value, (list, tuple)):
+            return str(type(value)(map(_Digits, value)))
+        return repr(_Digits(value))

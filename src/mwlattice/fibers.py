@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import matrices as mx
-from .errors import ModelMismatchError, NotAFiberError
+from .errors import ModelMismatchError, NotAFiberError, _shown
 from .surface import DivisorClass, intersect
 
 KIND_RULING_CHAIN = "RulingChainA"
@@ -120,9 +120,9 @@ def dual_graph(components: Sequence[DivisorClass]) -> DualGraph:
             w = intersect(comps[i], comps[j])
             if w < 0:
                 raise NotAFiberError(
-                    "components %s and %s meet negatively (%d); "
+                    "components %s and %s meet negatively (%s); "
                     "they cannot be distinct curves"
-                    % (_component_label(i), _component_label(j), w)
+                    % (_component_label(i), _component_label(j), _shown(w))
                 )
             if w > 0:
                 edges.append((i, j, w))
@@ -148,9 +148,11 @@ def fiber_multiplicities(
     mults = []
     for i, value in enumerate(solution):
         if value.denominator != 1:
-            raise NotAFiberError("multiplicity of component %d is %s, not integral" % (i, value))
+            raise NotAFiberError("multiplicity of component %d is %s/%s, not integral"
+                                 % (i, _shown(value.numerator), _shown(value.denominator)))
         if value < 1:
-            raise NotAFiberError("multiplicity of component %d is %s, not positive" % (i, value))
+            raise NotAFiberError("multiplicity of component %d is %s, not positive"
+                                 % (i, _shown(value.numerator)))
         mults.append(value.numerator)
     return tuple(mults)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import matrices as mx
-from .errors import ConfigurationError, InputFormatError, InvalidModelError, MWLatticeError
+from .errors import ConfigurationError, InputFormatError, InvalidModelError, MWLatticeError, _shown
 from .fibers import _component_label, dual_graph, fiber_multiplicities
 from .surface import (
     DivisorClass,
@@ -224,7 +224,13 @@ class ValidationReport:
 
 def validate_scenario(scenario: Scenario) -> ValidationReport:
     """Structural sanity of a scenario: numerics every fibration must satisfy."""
+    return _validate(scenario)[0]
+
+
+def _validate(scenario: Scenario):
+    """The report, and each fibre's (dual graph, multiplicities); None where one raised."""
     checks: list[ValidationCheck] = []
+    derived = []
     model = scenario.model
     f = scenario.fiber
     g = model.g
@@ -235,32 +241,32 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
     add(
         "picard_number_maximal",
         model.n == 4 * g + 4,
-        "rho = %d, expected %d" % (model.rho, 4 * g + 6),
+        "rho = %s, expected %s" % (_shown(model.rho), _shown(4 * g + 6)),
     )
     ff = intersect(f, f)
-    add("fiber_self_intersection", ff == 0, "F.F = %d" % ff)
+    add("fiber_self_intersection", ff == 0, "F.F = %s" % _shown(ff))
     k_class = canonical_class(model)
     kf = intersect(k_class, f)
-    add("fiber_canonical_degree", kf == 2 * g - 2, "K.F = %d" % kf)
+    add("fiber_canonical_degree", kf == 2 * g - 2, "K.F = %s" % _shown(kf))
     adj = k_class + f
     adj_square = intersect(adj, adj)
-    add("adjoint_class_square", adj_square == 0, "(K+F).(K+F) = %d" % adj_square)
+    add("adjoint_class_square", adj_square == 0, "(K+F).(K+F) = %s" % _shown(adj_square))
     try:
         pa = adjunction_genus(f)
-        add("fiber_genus", pa == g, "adjunction genus %d" % pa)
+        add("fiber_genus", pa == g, "adjunction genus %s" % _shown(pa))
     except InvalidModelError as exc:
         add("fiber_genus", False, str(exc))
     for i, s in enumerate(scenario.sections):
         sf = intersect(s, f)
         ss = intersect(s, s)
-        add("section_%d_meets_fiber_once" % i, sf == 1, "S.F = %d" % sf)
-        add("section_%d_self_intersection" % i, ss == -1, "S.S = %d" % ss)
+        add("section_%d_meets_fiber_once" % i, sf == 1, "S.F = %s" % _shown(sf))
+        add("section_%d_self_intersection" % i, ss == -1, "S.S = %s" % _shown(ss))
     for k, fib in enumerate(scenario.fibers):
         off = [intersect(c, f) for c in fib.components]
         add(
             "fiber_%d_components_orthogonal" % k,
             all(x == 0 for x in off),
-            "components meet F in %s" % (off,),
+            "components meet F in %s" % _shown(off),
         )
         # A curve has p_a >= 0.  Not p_a = 0: the cycle fibres at g >= 2 have
         # a component of arithmetic genus g - 1.
@@ -268,16 +274,18 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
             name = "fiber_%d_component_%d_genus" % (k, i)
             try:
                 pa = adjunction_genus(c)
-                add(name, pa >= 0, "p_a = %d" % pa)
+                add(name, pa >= 0, "p_a = %s" % _shown(pa))
             except InvalidModelError as exc:
                 add(name, False, str(exc))
+        mults = graph = None
         try:
             mults = fiber_multiplicities(fib.components, f)
-            add("fiber_%d_multiplicities" % k, True, "m = %s" % (mults,))
+            add("fiber_%d_multiplicities" % k, True, "m = %s" % _shown(mults))
         except MWLatticeError as exc:
             add("fiber_%d_multiplicities" % k, False, str(exc))
         try:
-            connected = dual_graph(fib.components).is_connected()
+            graph = dual_graph(fib.components)
+            connected = graph.is_connected()
             add(
                 "fiber_%d_dual_graph" % k,
                 connected,
@@ -285,6 +293,7 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
             )
         except MWLatticeError as exc:
             add("fiber_%d_dual_graph" % k, False, str(exc))
+        derived.append((graph, mults))
     # Distinct fibres are disjoint curves: no component of one meets (or
     # repeats) a component of another.
     for (k, fa), (l, fb) in combinations(enumerate(scenario.fibers), 2):
@@ -293,10 +302,10 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
             for j, b in enumerate(fb.components):
                 w = intersect(a, b)
                 if w:
-                    meets.append("%s of fibre %d meets %s of fibre %d (%d)"
-                                 % (_component_label(i), k, _component_label(j), l, w))
+                    meets.append("%s of fibre %d meets %s of fibre %d (%s)"
+                                 % (_component_label(i), k, _component_label(j), l, _shown(w)))
         add("fibers_%d_%d_disjoint" % (k, l), not meets, "; ".join(meets))
-    return ValidationReport(scenario.name, tuple(checks))
+    return ValidationReport(scenario.name, tuple(checks)), tuple(derived)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +353,7 @@ def scenario_from_json(obj) -> Scenario:
         values = _int_list(values, what)
         if len(values) != size:
             raise InputFormatError(
-                "%s has %d coefficients, expected %d" % (what, len(values), size)
+                "%s has %d coefficients, expected %s" % (what, len(values), _shown(size))
             )
         return DivisorClass(model, tuple(values))
 

@@ -1,9 +1,10 @@
 """JSON forms for rationals, polynomials and coefficient files.
 
 Rationals serialize as plain ints when integral and as "p/q" strings
-otherwise.  Polynomials serialize as lists of {"exp": [t,x,y,z],
-"coef": ...} objects in graded-lexicographic order so that equal
-polynomials produce byte-identical documents.
+otherwise, and a string is read only as "p" or "p/q".  Polynomials
+serialize as lists of {"exp": [t,x,y,z], "coef": ...} objects in
+graded-lexicographic order so that equal polynomials produce
+byte-identical documents.
 """
 
 from __future__ import annotations
@@ -17,6 +18,16 @@ from .poly import SparsePoly, _graded_order
 
 # A coefficient key "i,j" as "%d,%d" writes it: no sign, space or leading zero.
 _INDEX_KEY = re.compile(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)")
+# A rational string "p" or "p/q": an optional minus and decimal digits.
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _decimal(digits: str, what: str) -> int:
+    """``int(digits)``; past Python's limit on str-to-int conversion, an input error."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise InputFormatError("%s: %s" % (what, exc)) from None
 
 
 def frac_to_json(value):
@@ -32,10 +43,14 @@ def frac_from_json(obj) -> Fraction:
     if type(obj) is int:
         return Fraction(obj)
     if isinstance(obj, str):
-        try:
-            return Fraction(obj)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputFormatError("bad rational %r: %s" % (obj, exc)) from None
+        match = _RATIONAL.fullmatch(obj)
+        if match is None:
+            raise InputFormatError("bad rational %r: expected 'p' or 'p/q'" % (obj,))
+        num = _decimal(match[1], "bad rational")
+        den = 1 if match[2] is None else _decimal(match[2], "bad rational")
+        if den == 0:
+            raise InputFormatError("bad rational %r: zero denominator" % (obj,))
+        return Fraction(num, den)
     raise InputFormatError("expected a rational, got %r" % (obj,))
 
 
@@ -85,7 +100,8 @@ def pencil_coefficients_from_json(obj) -> PencilCoefficients:
         match = _INDEX_KEY.fullmatch(key) if isinstance(key, str) else None
         if match is None:
             raise InputFormatError("coefficient key %r is not 'i,j'" % (key,))
-        coeffs[int(match[1]), int(match[2])] = frac_from_json(raw)
+        index = (_decimal(match[1], "coefficient key"), _decimal(match[2], "coefficient key"))
+        coeffs[index] = frac_from_json(raw)
     try:
         return PencilCoefficients.from_map(g, coeffs)
     except MWLatticeError as exc:

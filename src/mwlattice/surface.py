@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InvalidModelError, ModelMismatchError
+from .errors import InvalidModelError, ModelMismatchError, _shown
 from .matrices import IntMatrix, _integer
 
 
@@ -222,7 +222,7 @@ def adjunction_genus(div: DivisorClass) -> int:
     k = canonical_class(div.model)
     total = intersect(div, div) + intersect(k, div)
     if total % 2 != 0:
-        raise InvalidModelError("adjunction sum %d is odd" % total)
+        raise InvalidModelError("adjunction sum %s is odd" % _shown(total))
     return total // 2 + 1
 
 

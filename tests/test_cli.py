@@ -4,14 +4,19 @@ Everything goes through main(argv) in-process except one subprocess
 test that exercises the installed console script.
 """
 
+import hashlib
 import json
+import re
 import shutil
 import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import pytest
 
+from mwlattice import fibers
+from mwlattice.catalog import build_catalog, catalog_entry
 from mwlattice.cli import _MAX_GENUS, main
 from mwlattice.poly import T, Y
 from mwlattice.scenarios import scenario_to_json, scenario_trivial_mw
@@ -416,6 +421,122 @@ def test_export_without_reducible_fibres(capsys):
                        "--dot")
     assert code == 2
     assert "no reducible fibres" in err
+
+
+def _catalog_file(tmp_path, name):
+    path = tmp_path / ("%s.json" % name)
+    path.write_text(json.dumps(scenario_to_json(catalog_entry(name).scenario)))
+    return str(path)
+
+
+def test_fiber_and_export_of_catalog_files_are_pinned(capsys, tmp_path):
+    # fiber (text and JSON) and export --dot, of every fibre and of each one,
+    # on each catalog scenario read from a file
+    outputs = []
+    for entry in build_catalog():
+        path = _catalog_file(tmp_path, entry.name)
+        runs = [("fiber",), ("fiber", "--report", "json"), ("export", "--dot")]
+        runs += [("export", "--dot", "--fiber", str(k)) for k in range(len(entry.scenario.fibers))]
+        for command, *options in runs:
+            code, out, err = run(capsys, command, "--scenario", path, *options)
+            outputs.append("%s %s: %d\n%s%s" % (entry.name, " ".join(options), code, out, err))
+    digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
+    assert digest == "ab71fc2183395db992d4cad18cc0dc5cfb73bb577512d91334bbe8fcb1d2e1b7"
+
+
+@pytest.fixture
+def fibre_derivations(monkeypatch):
+    """Calls of fibers.dual_graph and fibers.fiber_multiplicities, counted
+    in every module that holds them, as the benchmark's tracer patches them."""
+    counts = {"dual_graph": 0, "fiber_multiplicities": 0}
+    modules = [mod for key, mod in sys.modules.items() if key.split(".")[0] == "mwlattice"]
+    for name in counts:
+        original = getattr(fibers, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    return counts
+
+
+@pytest.mark.parametrize("source", ["1", "2", "3", "g1-two-fibers"],
+                         ids=["trivial-g1", "trivial-g2", "trivial-g3", "g1-two-fibers"])
+@pytest.mark.parametrize("command", [("fiber",), ("export", "--dot")], ids=["fiber", "export"])
+def test_fibre_data_is_derived_once(capsys, tmp_path, fibre_derivations, command, source):
+    # validation derives each fibre's dual graph and multiplicities; the
+    # command prints from them
+    if source.isdigit():
+        argv, count = ("--trivial-scenario", "--g", source), 1
+    else:
+        argv, count = ("--scenario", _catalog_file(tmp_path, source)), 2
+    code, out, _ = run(capsys, command[0], *argv, *command[1:])
+    assert code == 0, out
+    assert fibre_derivations == {"dual_graph": count, "fiber_multiplicities": count}
+
+
+@contextmanager
+def no_digit_limit():
+    """Python's limit on int/str conversions lifted."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _huge_fibre_class():
+    doc = scenario_to_json(scenario_trivial_mw(1))
+    doc["fiber"][0] = int("7" * 3001)  # F.F has 6,002 digits
+    return doc
+
+
+# c_{1,1} has 4,300 digits, the most the reader takes; results have more
+_LONG_COEFFICIENT = {"genus": 1, "c": {"2,0": 1, "0,1": 1, "1,1": "9" * 4300}}
+
+PAST_THE_DIGIT_LIMIT = {
+    # validation fails, and its FAIL lines give every number in full
+    "mw": (("mw", "--scenario"), _huge_fibre_class(), 1),
+    "fiber": (("fiber", "--scenario"), _huge_fibre_class(), 1),
+    "export": (("export", "--dot", "--scenario"), _huge_fibre_class(), 1),
+    "disc": (("pencil", "disc", "--coeffs"), _LONG_COEFFICIENT, 0),
+    "transfer": (("pencil", "transfer", "--report", "json", "--coeffs"), _LONG_COEFFICIENT, 0),
+}
+
+
+@pytest.mark.parametrize("case", PAST_THE_DIGIT_LIMIT)
+def test_results_past_the_digit_limit_are_written_exactly(capsys, tmp_path, case):
+    argv, doc, expected_code = PAST_THE_DIGIT_LIMIT[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, err) == (expected_code, "")
+    assert sys.get_int_max_str_digits() == limit  # main puts the limit back
+    assert max(map(len, re.findall(r"[0-9]+", out))) > 4300
+    with no_digit_limit():
+        assert run(capsys, *argv, str(path)) == (code, out, err)
+
+
+@pytest.mark.parametrize("reader, doc", [
+    (("pencil", "disc", "--coeffs"), {"genus": 1, "c": {"2,0": 1, "0,1": "1e5000"}}),
+    (("pencil", "ade", "--germ"), [{"exp": [2, 0, 0, 0], "coef": "1e5000"},
+                                   {"exp": [0, 0, 3, 0], "coef": -1}]),
+], ids=["disc", "ade"])
+def test_exit2_rational_in_exponent_form(capsys, tmp_path, reader, doc):
+    # a rational string is "p" or "p/q"; Fraction read "1e5000" as 10^5000
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *reader, str(path))
+    assert code == 2
+    assert out == ""
+    assert "bad rational '1e5000': expected 'p' or 'p/q'" in err
+    assert "Traceback" not in err
 
 
 def _scenario_with_fibers(tmp_path, *fibers):

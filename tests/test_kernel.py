@@ -14,7 +14,7 @@ from mwlattice import matrices as mx
 from mwlattice import oracles
 from mwlattice import boxenum
 from mwlattice.boxenum import (
-    _box_fits_int64,
+    _box_fits_float64,
     _box_radii,
     _enumerate_numpy,
     _head_size,
@@ -271,7 +271,7 @@ def test_tiled_scan_at_the_precheck_edge(monkeypatch, below):
     bound = 10 * k - below
     radii = _box_radii(gram, bound)
     assert radii == [1, 1]
-    assert (1 << 50) - 10 * k == 4 and _box_fits_int64(gram, radii, bound, 1)
+    assert (1 << 50) - 10 * k == 4 and _box_fits_float64(gram, radii, bound, 1)
     got = _numpy_matches_python(monkeypatch, gram, bound)
     assert ((1, -1) in got) == (below == 0)
     assert len(got) == 8 - 2 * below

@@ -1,6 +1,10 @@
 """Scenario construction, validation, base change, JSON round trips."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwlattice import matrices as mx
 from mwlattice import scenarios
@@ -249,3 +253,51 @@ def test_validate_scenario_raises_programming_errors(monkeypatch):
     monkeypatch.setattr(scenarios, "fiber_multiplicities", broken)
     with pytest.raises(TypeError, match="broken helper"):
         validate_scenario(scenario_trivial_mw(1))
+
+
+def test_validate_scenario_abbreviates_numbers_it_cannot_print():
+    # F.F of a fibre class with a 3,001-digit coefficient has 6,002 digits,
+    # past Python's limit on int-to-str conversion
+    doc = scenario_to_json(scenario_trivial_mw(1))
+    doc["fiber"][0] = int("7" * 3001)
+    checks = {ch.name: ch for ch in validate_scenario(scenario_from_json(doc)).checks}
+    assert checks["fiber_self_intersection"].detail == "F.F = -<6002 digits>"
+    assert checks["fiber_genus"].detail == "adjunction genus -<6002 digits>"
+    assert len(checks["fiber_canonical_degree"].detail) == len("K.F = -") + 3001
+    assert not checks["fiber_self_intersection"].passed
+
+
+# Integers of up to 4,300 digits, the most a JSON document read by Python
+# can carry: a drawn block of digits repeated to a drawn width, since a
+# drawn 4,300-digit integer exhausts hypothesis's entropy budget.
+_COEFFICIENT = st.one_of(
+    st.integers(-3, 3),
+    st.builds(
+        lambda sign, block, width: sign * int((str(block) * 4300)[:width]),
+        st.sampled_from((-1, 1)), st.integers(1, 10 ** 6), st.integers(1, 4300),
+    ),
+)
+
+
+@st.composite
+def _scenario_documents(draw):
+    g = draw(st.integers(1, 2))
+    classes = st.lists(_COEFFICIENT, min_size=4 * g + 6, max_size=4 * g + 6)
+    fibers = st.lists(st.lists(classes, min_size=1, max_size=3), max_size=2)
+    return {
+        "genus": g,
+        "degree": draw(st.integers(0, g + 1)),
+        "n": 4 * g + 4,
+        "fiber": draw(classes),
+        "sections": draw(st.lists(classes, min_size=1, max_size=2)),
+        "fibers": [{"components": comps} for comps in draw(fibers)],
+    }
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(doc=_scenario_documents())
+def test_validate_scenario_reports_on_any_document(doc):
+    scenario = scenario_from_json(json.loads(json.dumps(doc)))
+    report = validate_scenario(scenario)
+    assert report.scenario == scenario.name
+    assert all(isinstance(ch.detail, str) for ch in report.checks)

@@ -41,6 +41,34 @@ def test_frac_rejections():
         frac_from_json(None)
 
 
+@pytest.mark.parametrize("text, value", [
+    ("6/4", Fraction(3, 2)), ("-6/4", Fraction(-3, 2)), ("007", Fraction(7)),
+    ("-0/5", Fraction(0)), ("9" * 4300, Fraction(int("9" * 4300))),
+])
+def test_frac_from_json_reads_p_over_q(text, value):
+    assert frac_from_json(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    # Fraction reads these, and "1e10000000" takes it seconds
+    "1e5000", "1e10000000", "1.5", ".5", "1_000", " 1/2", "1/2 ", "+1", "\u0661",
+    # no rational in any grammar
+    "1/+2", "1/-2", "", "-", "1/", "/2", "1/2/3", "inf", "nan", "1/0", "-3/00",
+    # past Python's limit on str-to-int conversion, in p or in q
+    "1" * 4301, "1/" + "1" * 4301,
+])
+def test_frac_from_json_refuses_other_forms(text):
+    with pytest.raises(InputFormatError, match="^bad rational"):
+        frac_from_json(text)
+
+
+def test_coefficient_key_past_the_digit_limit_is_an_input_error():
+    # int() refuses a 4,301-digit index with a plain ValueError
+    doc = {"genus": 1, "c": {"2,0": 1, "0,1": 1, "1," + "1" * 4301: 1}}
+    with pytest.raises(InputFormatError, match="^coefficient key: "):
+        pencil_coefficients_from_json(doc)
+
+
 def test_matrix_to_json():
     rows = ((Fraction(1), Fraction(1, 2)), (Fraction(-2), Fraction(0)))
     assert matrix_to_json(rows) == [[1, "1/2"], [-2, 0]]
