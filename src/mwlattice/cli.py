@@ -20,7 +20,7 @@ import json
 import sys
 
 from .ade import classify_ade_germ
-from .errors import InputFormatError, InternalConsistencyError, MWLatticeError
+from .errors import InputFormatError, InternalConsistencyError, MWLatticeError, _quoted
 from .fibers import classify_shape, to_dot
 from .mw import mw_rank_by_formula, mwl
 from .pencil import (
@@ -39,6 +39,7 @@ from .scenarios import (
     scenario_trivial_mw,
 )
 from .serialize import (
+    _decimal,
     double_cover_to_json,
     frac_to_json,
     matrix_to_json,
@@ -54,19 +55,25 @@ _MAX_GENUS = 32
 
 
 def _load_json(path: str):
-    """The document in ``path``; an object that repeats a key is refused."""
+    """The document in ``path``; an object that repeats a key is refused.
+
+    An integer past Python's digit limit is refused with the limit named.
+    """
 
     def unique(pairs):
         obj = {}
         for key, value in pairs:
             if key in obj:
-                raise InputFormatError("%s repeats the key %r" % (path, key))
+                raise InputFormatError("%s repeats the key %s" % (path, _quoted(key)))
             obj[key] = value
         return obj
 
+    def integer(text):
+        return _decimal(text, "%s is not readable JSON" % path)
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle, object_pairs_hook=unique)
+            return json.load(handle, object_pairs_hook=unique, parse_int=integer)
     except OSError as exc:
         raise InputFormatError("cannot read %s: %s" % (path, exc)) from None
     except json.JSONDecodeError as exc:
@@ -76,7 +83,7 @@ def _load_json(path: str):
         ) from None
     except InputFormatError:
         raise
-    except (ValueError, RecursionError) as exc:  # not UTF-8, a huge int, deep nesting
+    except (ValueError, RecursionError) as exc:  # not UTF-8, deep nesting
         raise InputFormatError("%s is not readable JSON: %s" % (path, exc)) from None
 
 

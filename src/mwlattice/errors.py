@@ -3,7 +3,8 @@
 All errors raised for *mathematically invalid input* derive from
 :class:`MWLatticeError` so callers (and the CLI) can distinguish bad data
 from programming mistakes.  ``_shown`` writes the numbers in their
-messages, also those too long for Python's int-to-str conversion.
+messages, also those too long for Python's int-to-str conversion, and
+``_quoted`` the input strings, cut to a bounded prefix.
 """
 
 from __future__ import annotations
@@ -79,3 +80,23 @@ def _shown(value) -> str:
         if isinstance(value, (list, tuple)):
             return str(type(value)(map(_Digits, value)))
         return repr(_Digits(value))
+
+
+# Longest piece of an offending input value that a message quotes.
+_QUOTE_CHARS = 40
+
+
+def _quoted(value) -> str:
+    """``repr`` of an input value for a message, cut after 40 characters.
+
+    A longer string is quoted by its first 40 characters and its length,
+    so that one huge value cannot make a huge message.
+    """
+    if isinstance(value, str):
+        if len(value) <= _QUOTE_CHARS:
+            return repr(value)
+        return "{!r}... ({:,} characters)".format(value[:_QUOTE_CHARS], len(value))
+    text = repr(value)
+    if len(text) <= _QUOTE_CHARS:
+        return text
+    return "{}... ({:,} characters)".format(text[:_QUOTE_CHARS], len(text))

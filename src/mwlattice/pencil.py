@@ -11,6 +11,17 @@ double-cover equation
     z^2 = t y (b0 y^{2g+1} + b10 t + t y sum_j b1[j] y^{j-1}).
 
 All arithmetic is exact over the rationals.
+
+The coefficient classes check their numbers once, on construction.  The
+builders that start from them -- ``pencil_equation``,
+``DoubleCoverCoefficients.branch_polynomial`` and
+``double_cover_branch_germ`` -- trust those checked coefficients and hand
+them to the polynomial kernel's unvalidated path (``poly._from_rationals``),
+and ``discriminant_in_x`` reads a, b and c in one pass
+(``poly._discriminant``).  ``pencil_to_double_cover`` reads the entries
+once, and it keeps its self-check: it re-derives the branch curve through
+the discriminant and raises on a mismatch, the transfer rules' only
+independent check.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ from .errors import (
     ShapeError,
 )
 from .matrices import _integer
-from .poly import SparsePoly, T, Y, Z, _rational
+from .poly import SparsePoly, Z, _discriminant, _from_rationals, _rational
 
 
 @dataclass(frozen=True)
@@ -88,17 +99,14 @@ def pencil_equation(pc: PencilCoefficients) -> SparsePoly:
     """Member of the pencil at parameter t: x^2 y^{2g+1} - t sum c x^i y^j."""
     terms = {(1, i, j, 0): -value for i, j, value in pc.entries}
     terms[(0, 2, 2 * pc.g + 1, 0)] = 1
-    return SparsePoly(terms)
+    return _from_rationals(terms)
 
 
 def discriminant_in_x(p: SparsePoly) -> SparsePoly:
     """b^2 - 4ac for p = a x^2 + b x + c with a, b, c free of x."""
     if p.degree("x") != 2:
         raise ShapeError("polynomial must have degree exactly 2 in x")
-    a = p.coefficient("x", 2)
-    b = p.coefficient("x", 1)
-    c = p.coefficient("x", 0)
-    return b * b - SparsePoly.const(4) * a * c
+    return _discriminant(p, "x")
 
 
 @dataclass(frozen=True)
@@ -193,30 +201,47 @@ class DoubleCoverCoefficients:
 
     def branch_polynomial(self) -> SparsePoly:
         """b0 y^{2g+1} + b10 t + t sum_j b1[j-1] y^j, the curve under t*y."""
-        terms = {(1, 0, j, 0): value for j, value in enumerate(self.b1, start=1)}
-        terms[(0, 0, 2 * self.g + 1, 0)] = self.b0
-        terms[(1, 0, 0, 0)] = self.b10
-        return SparsePoly(terms)
+        return _branch_times_ty(self, 0)
+
+
+def _branch_times_ty(dc: DoubleCoverCoefficients, s: int) -> SparsePoly:
+    """(t y)^s times the branch curve, built from the checked coefficients."""
+    terms = {(1 + s, 0, j + s, 0): value for j, value in enumerate(dc.b1, start=1)}
+    terms[(s, 0, 2 * dc.g + 1 + s, 0)] = dc.b0
+    terms[(1 + s, 0, s, 0)] = dc.b10
+    return _from_rationals(terms)
 
 
 def pencil_to_double_cover(pc: PencilCoefficients) -> DoubleCoverCoefficients:
     """Transfer pencil coefficients to double-cover coefficients.
 
     b0 = 4 c_{0,1}, b10 = -4 c_{2,0} c_{0,1}, and the tail comes from
-    (sum_k c_{1,k} y^{k-1})^2 - 4 c_{0,1} sum_j c_{2,j} y^{j-1}.  The
-    result is re-expanded and compared against the branch curve computed
-    through the discriminant; a mismatch would mean the transfer rules
-    are wrong, so it raises instead of returning silently.
+    (sum_k c_{1,k} y^{k-1})^2 - 4 c_{0,1} sum_j c_{2,j} y^{j-1}, read
+    off the entries in one pass.  The result is re-expanded and compared
+    against the branch curve computed through the discriminant; a
+    mismatch would mean the transfer rules are wrong, so it raises
+    instead of returning silently.
     """
     g = pc.g
-    c01 = pc.coefficient(0, 1)
-    c20 = pc.coefficient(2, 0)
-    linear = SparsePoly({(0, 0, k - 1, 0): value for k, value in pc.row(1).items()})
-    square = linear * linear
-    row2 = pc.row(2)
-    b1 = tuple(square.term(y=j - 1) - 4 * c01 * row2.get(j, 0)
-               for j in range(1, 2 * g + 2))
-    dc = DoubleCoverCoefficients(g=g, b0=4 * c01, b10=-4 * c20 * c01, b1=b1)
+    linear, row2 = [], {}
+    for i, j, value in pc.entries:
+        if i == 0:  # c_{0,0} is zero, so this is c_{0,1}
+            c01 = value
+        elif i == 1:  # c_{1,j} multiplies y^{j-1}; c_{1,0} is zero
+            linear.append((j - 1, value))
+        elif j == 0:
+            c20 = value
+        else:
+            row2[j] = value
+    # b1[j-1] = [y^{j-1}] (sum_k c_{1,k} y^{k-1})^2 - 4 c_{0,1} c_{2,j}
+    b1 = [0] * (2 * g + 1)
+    for n, (k, u) in enumerate(linear):
+        b1[2 * k] += u * u
+        for m, w in linear[n + 1:]:
+            b1[k + m] += 2 * u * w
+    for j, value in row2.items():
+        b1[j - 1] -= 4 * c01 * value
+    dc = DoubleCoverCoefficients(g=g, b0=4 * c01, b10=-4 * c20 * c01, b1=tuple(b1))
 
     expected = branch_decomposition(discriminant_in_x(pencil_equation(pc))).branch
     if dc.branch_polynomial() != expected:
@@ -228,7 +253,7 @@ def pencil_to_double_cover(pc: PencilCoefficients) -> DoubleCoverCoefficients:
 
 def double_cover_equation(dc: DoubleCoverCoefficients) -> SparsePoly:
     """The defining equation z^2 - t y (b0 y^{2g+1} + b10 t + ty sum b1 y^{j-1})."""
-    return Z * Z - T * Y * dc.branch_polynomial()
+    return Z * Z - double_cover_branch_germ(dc)
 
 
 def double_cover_branch_germ(dc: DoubleCoverCoefficients) -> SparsePoly:
@@ -237,7 +262,7 @@ def double_cover_branch_germ(dc: DoubleCoverCoefficients) -> SparsePoly:
     This equals -psi(t, y, 0) for the double-cover equation psi; its
     singularity type drives the surface singularity of the cover.
     """
-    return T * Y * dc.branch_polynomial()
+    return _branch_times_ty(dc, 1)
 
 
 def random_pencil(g: int, rng: Random) -> PencilCoefficients:

@@ -13,7 +13,11 @@ Arithmetic runs on the numerators: a term product is one ``int``
 multiply, a sum rescales both sides to the lcm of the two denominators,
 and every result divides out one gcd in ``_make``, the trusted
 constructor of ring results, which does not validate the exponents again
-(they are sums or shifts of valid exponents).
+(they are sums or shifts of valid exponents).  The same trusted path
+serves the pencil builders, whose coefficients their classes have already
+checked: ``_from_rationals`` puts checked coefficients over one
+denominator, and ``_discriminant`` forms b^2 - 4ac of a quadratic in one
+pass and one ``_make``.
 
 ``terms`` gives the rational view, exponent -> ``Fraction``, built afresh
 on each call; code that needs only the exponents reads ``exponents()``,
@@ -25,9 +29,10 @@ fixes the serialization order.
 
 Numbers passed in go through the package's one entry gate,
 ``matrices._exact`` and ``matrices._integer``: a coefficient is an int, a
-numpy integer (read as an int) or a Fraction, and an exponent or a power is
-an integer.  A bool, float, string or Decimal is a TypeError, and a bad
-exponent vector in ``SparsePoly(...)`` a ValueError.
+numpy integer (read as an int) or a Fraction (one of numpy integers is read
+as a Fraction of ints), and an exponent or a power is an integer.  A bool,
+float, string or Decimal is a TypeError, and a bad exponent vector in
+``SparsePoly(...)`` a ValueError.
 """
 
 from __future__ import annotations
@@ -60,12 +65,20 @@ def _graded_order(exponents) -> list[Exponent]:
 
 
 def _rational(value) -> Fraction:
-    """An exact coefficient through ``_exact``; a Fraction passes unchanged."""
+    """An exact coefficient through ``_exact``, as a Fraction of two ints.
+
+    A Fraction passes unchanged unless it holds numpy integers, which could
+    wrap in a product; their values are read as ints.
+    """
     try:
         value = _exact(value)
     except TypeError:
         raise TypeError("cannot coerce %r to SparsePoly" % (value,)) from None
-    return value if type(value) is Fraction else Fraction(value)
+    if type(value) is not Fraction:
+        return Fraction(value)
+    if type(value.numerator) is int and type(value.denominator) is int:
+        return value
+    return Fraction(int(value.numerator), int(value.denominator))
 
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
@@ -84,14 +97,10 @@ class SparsePoly:
                 key = ()
             if len(key) != 4 or min(key) < 0:
                 raise ValueError("bad exponent vector %r" % (exp,))
-            coef = _rational(coef)
-            if coef:
-                clean[key] = coef
-        # Over the lcm of reduced denominators, gcd(den, numerators) = 1.
-        den = math.lcm(*(c.denominator for c in clean.values()))
-        object.__setattr__(self, "_num", {
-            e: int(c.numerator) * (den // int(c.denominator)) for e, c in clean.items()})
-        object.__setattr__(self, "_den", den)
+            clean[key] = _rational(coef)
+        checked = _from_rationals(clean)
+        object.__setattr__(self, "_num", checked._num)
+        object.__setattr__(self, "_den", checked._den)
 
     # -- constructors -------------------------------------------------
 
@@ -296,6 +305,34 @@ def _make(num: dict[Exponent, int], den: int) -> SparsePoly:
             den //= g
             num = {e: c // g for e, c in num.items()}
     return _new(num, den)
+
+
+def _from_rationals(terms: Mapping[Exponent, Fraction]) -> SparsePoly:
+    """Canonical polynomial from valid exponents and checked coefficients.
+
+    The coefficients are ints or Fractions that passed ``_rational``; no
+    exponent or number is checked again, and zeros are dropped.  Over the
+    lcm of the reduced denominators, gcd(den, numerators) = 1.
+    """
+    terms = {e: c for e, c in terms.items() if c}
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return _new({e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den)
+
+
+def _discriminant(p: SparsePoly, var: str) -> SparsePoly:
+    """b^2 - 4ac for p = a var^2 + b var + c, p of degree exactly 2 in var.
+
+    a, b and c are read in one pass over the numerators, and the result,
+    (B^2 - 4AC) / den^2, is made canonical once.
+    """
+    i = _index(var)
+    parts: tuple[dict[Exponent, int], ...] = ({}, {}, {})
+    for e, c in p._num.items():
+        parts[e[i]][e[:i] + (0,) + e[i + 1:]] = c
+    c, b, a = parts
+    out = _add_products({}, b, b)
+    _add_products(out, a, {e: -4 * v for e, v in c.items()})
+    return _make(out, p._den * p._den)
 
 
 def _add_products(out: dict[Exponent, int], a: Mapping[Exponent, int],

@@ -10,9 +10,10 @@ byte-identical documents.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
-from .errors import InputFormatError, MWLatticeError
+from .errors import InputFormatError, MWLatticeError, _quoted
 from .pencil import DoubleCoverCoefficients, PencilCoefficients
 from .poly import SparsePoly, _graded_order
 
@@ -23,11 +24,14 @@ _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _decimal(digits: str, what: str) -> int:
-    """``int(digits)``; past Python's limit on str-to-int conversion, an input error."""
+    """``int(digits)``, digits with an optional minus; past Python's limit on
+    str-to-int conversion, an input error that names the limit."""
     try:
         return int(digits)
-    except ValueError as exc:
-        raise InputFormatError("%s: %s" % (what, exc)) from None
+    except ValueError:
+        count, limit = len(digits.lstrip("-")), sys.get_int_max_str_digits()
+        raise InputFormatError("{}: an integer of {:,} digits is past the {:,}-digit "
+                               "input limit".format(what, count, limit)) from None
 
 
 def frac_to_json(value):
@@ -45,13 +49,13 @@ def frac_from_json(obj) -> Fraction:
     if isinstance(obj, str):
         match = _RATIONAL.fullmatch(obj)
         if match is None:
-            raise InputFormatError("bad rational %r: expected 'p' or 'p/q'" % (obj,))
+            raise InputFormatError("bad rational %s: expected 'p' or 'p/q'" % _quoted(obj))
         num = _decimal(match[1], "bad rational")
         den = 1 if match[2] is None else _decimal(match[2], "bad rational")
         if den == 0:
-            raise InputFormatError("bad rational %r: zero denominator" % (obj,))
+            raise InputFormatError("bad rational %s: zero denominator" % _quoted(obj))
         return Fraction(num, den)
-    raise InputFormatError("expected a rational, got %r" % (obj,))
+    raise InputFormatError("expected a rational, got %s" % _quoted(obj))
 
 
 def matrix_to_json(rows) -> list:
@@ -99,7 +103,7 @@ def pencil_coefficients_from_json(obj) -> PencilCoefficients:
     for key, raw in table.items():
         match = _INDEX_KEY.fullmatch(key) if isinstance(key, str) else None
         if match is None:
-            raise InputFormatError("coefficient key %r is not 'i,j'" % (key,))
+            raise InputFormatError("coefficient key %s is not 'i,j'" % _quoted(key))
         index = (_decimal(match[1], "coefficient key"), _decimal(match[2], "coefficient key"))
         coeffs[index] = frac_from_json(raw)
     try:

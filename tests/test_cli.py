@@ -539,6 +539,69 @@ def test_exit2_rational_in_exponent_form(capsys, tmp_path, reader, doc):
     assert "Traceback" not in err
 
 
+_LONG = 1_000_001
+
+LONG_INPUT_STRINGS = {
+    "rational": '{"genus": 1, "c": {"2,0": 1, "0,1": "%s"}}' % ("a" * _LONG),
+    "zero-denominator": '{"genus": 1, "c": {"2,0": 1, "0,1": "1/%s"}}' % ("0" * 4000),
+    "key": '{"genus": 1, "c": {"2,0": 1, "0,1": 1, "%s": 1}}' % ("x" * _LONG),
+    "repeated-key": '{"%s": 1, "%s": 2}' % ("k" * _LONG, "k" * _LONG),
+}
+
+
+@pytest.mark.parametrize("case", LONG_INPUT_STRINGS)
+def test_exit2_long_input_string_is_quoted_in_part(capsys, tmp_path, case):
+    # a message quotes the first 40 characters and the length, not the whole string
+    path = tmp_path / "coeffs.json"
+    path.write_text(LONG_INPUT_STRINGS[case])
+    code, out, err = run(capsys, "pencil", "disc", "--coeffs", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert len(err.encode()) - len(str(path)) < 300
+    assert "characters)" in err
+
+
+PAST_THE_INPUT_LIMIT = {
+    "coefficient-key": (json.dumps({"genus": 1, "c": {"2,0": 1, "0,1": 1, "1," + "1" * 4400: 1}}),
+                        "coefficient key: an integer of 4,400 digits"),
+    "rational": (json.dumps({"genus": 1, "c": {"2,0": 1, "0,1": "1/" + "7" * 4301}}),
+                 "bad rational: an integer of 4,301 digits"),
+    "json-integer": ('{"genus": %s, "c": {}}' % ("1" * 5000),
+                     "is not readable JSON: an integer of 5,000 digits"),
+}
+
+
+@pytest.mark.parametrize("case", PAST_THE_INPUT_LIMIT)
+def test_exit2_integer_past_the_input_limit_names_the_limit(capsys, tmp_path, case):
+    # Python's own advice, sys.set_int_max_str_digits(), is no use on the command line
+    text, message = PAST_THE_INPUT_LIMIT[case]
+    path = tmp_path / "coeffs.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "pencil", "disc", "--coeffs", str(path))
+    assert (code, out) == (2, "")
+    assert message + " is past the 4,300-digit input limit\n" in err
+    assert "set_int_max_str_digits" not in err
+
+
+# sha256 over the stdout of `pencil disc` and `pencil transfer`, both with
+# --report json, for --random --seed 0..2 at g = 1..8 and the genus cap 32,
+# in that order; as written before the pencil builders took the kernel's
+# trusted path
+PENCIL_REPORTS_SHA256 = "1dfa1937a4e53fc2bff8f47417c1030446dbfc7b81b2899a943d38d8aea127bc"
+
+
+def test_pencil_reports_are_pinned_up_to_the_genus_cap(capsys):
+    h = hashlib.sha256()
+    for g in (*range(1, 9), _MAX_GENUS):
+        for seed in range(3):
+            for command in ("disc", "transfer"):
+                code, out, err = run(capsys, "pencil", command, "--random", "--g", str(g),
+                                     "--seed", str(seed), "--report", "json")
+                assert (code, err) == (0, "")
+                h.update(out.encode())
+    assert h.hexdigest() == PENCIL_REPORTS_SHA256
+
+
 def _scenario_with_fibers(tmp_path, *fibers):
     """A g = 1, d = 1 scenario file whose fibres list E_i - E_j components."""
     doc = scenario_to_json(scenario_trivial_mw(1))

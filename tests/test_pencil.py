@@ -1,15 +1,19 @@
 """Pencil discriminant, branch curve, contact order, coefficient transfer."""
 
+import dataclasses
 import hashlib
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwlattice.errors import CoefficientError, ContactError, ShapeError
+from mwlattice import pencil
+from mwlattice.errors import CoefficientError, ContactError, InternalConsistencyError, ShapeError
 from mwlattice.oracles import factored_pencil_discriminant
 from mwlattice.pencil import (
     DoubleCoverCoefficients,
@@ -287,3 +291,136 @@ def test_random_pencil_draws_are_pinned():
     assert h.hexdigest() == (
         "ac1b731d8df845d53cfee78800229e604a7431cc509fb756bfa6ede35fb8710d"
     )
+
+
+# -- the trusted builders ------------------------------------------------
+#
+# The builders hand checked coefficients to the kernel's unvalidated path.
+# The references below are the earlier constructions through the
+# validating SparsePoly(...) and the ring operations; the builders must
+# give the same polynomials, in canonical form.
+
+
+def _reference_pencil_equation(pc):
+    terms = {(1, i, j, 0): -value for i, j, value in pc.entries}
+    terms[(0, 2, 2 * pc.g + 1, 0)] = 1
+    return SparsePoly(terms)
+
+
+def _reference_discriminant(p):
+    a, b, c = (p.coefficient("x", k) for k in (2, 1, 0))
+    return b * b - SparsePoly.const(4) * a * c
+
+
+def _reference_branch_polynomial(dc):
+    terms = {(1, 0, j, 0): value for j, value in enumerate(dc.b1, start=1)}
+    terms[(0, 0, 2 * dc.g + 1, 0)] = dc.b0
+    terms[(1, 0, 0, 0)] = dc.b10
+    return SparsePoly(terms)
+
+
+def _reference_transfer(pc):
+    c01 = pc.coefficient(0, 1)
+    linear = SparsePoly({(0, 0, k - 1, 0): v for k, v in pc.row(1).items()})
+    square = linear * linear
+    row2 = pc.row(2)
+    b1 = tuple(square.term(y=j - 1) - 4 * c01 * row2.get(j, 0) for j in range(1, 2 * pc.g + 2))
+    return DoubleCoverCoefficients(pc.g, 4 * c01, -4 * pc.coefficient(2, 0) * c01, b1)
+
+
+def _assert_canonical(p):
+    assert 0 not in p._num.values()
+    assert p._den > 0
+    assert math.gcd(p._den, *p._num.values()) == 1
+
+
+_rationals = st.fractions(min_value=-60, max_value=60, max_denominator=15)
+_nonzero = _rationals.filter(bool)
+
+
+@st.composite
+def _pencils(draw):
+    g = draw(st.integers(1, 8))
+    coeffs = {(2, 0): draw(_nonzero), (0, 1): draw(_nonzero)}
+    for i in (1, 2):
+        for j in range(1, i * g + 2):
+            if draw(st.booleans()):
+                coeffs[(i, j)] = draw(_rationals)
+    return _pc(g, coeffs)
+
+
+@st.composite
+def _covers(draw):
+    g = draw(st.integers(1, 8))
+    b1 = draw(st.lists(st.one_of(st.just(0), _rationals), min_size=2 * g + 1, max_size=2 * g + 1))
+    return DoubleCoverCoefficients(g, draw(_nonzero), draw(_nonzero), tuple(b1))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(pc=_pencils())
+def test_pencil_builders_match_the_validated_construction(pc):
+    member = pencil_equation(pc)
+    assert member == _reference_pencil_equation(pc)
+    disc = discriminant_in_x(member)
+    assert disc == _reference_discriminant(member)
+    dc = pencil_to_double_cover(pc)
+    assert dc == _reference_transfer(pc)
+    for p in (member, disc, dc.branch_polynomial(), double_cover_branch_germ(dc)):
+        _assert_canonical(p)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(dc=_covers())
+def test_cover_builders_match_the_validated_construction(dc):
+    # zero b1 entries are dropped, as SparsePoly(...) drops them
+    branch = dc.branch_polynomial()
+    assert branch == _reference_branch_polynomial(dc)
+    germ = double_cover_branch_germ(dc)
+    assert germ == T * Y * _reference_branch_polynomial(dc)
+    assert double_cover_equation(dc) == Z * Z - germ
+    for p in (branch, germ):
+        _assert_canonical(p)
+
+
+def test_fractions_of_numpy_integers_do_not_wrap():
+    # a Fraction may hold numpy integers; the builders must see Python ints
+    big = 2 ** 40
+    wide = _pc(1, {(2, 0): Fraction(np.int64(big), np.int64(3)), (0, 1): 1,
+                   (1, 1): Fraction(np.int64(big))})
+    exact = _pc(1, {(2, 0): Fraction(big, 3), (0, 1): 1, (1, 1): big})
+    assert pencil_to_double_cover(wide) == pencil_to_double_cover(exact)
+    assert pencil_to_double_cover(wide).b1[0] == big * big
+    for p in (pencil_equation(wide), double_cover_branch_germ(pencil_to_double_cover(wide))):
+        assert {type(c) for c in p._num.values()} == {int}
+
+
+def test_transfer_self_check_fires(monkeypatch):
+    # the transfer re-derives the branch curve through the discriminant; a
+    # branch that disagrees with its coefficients must not pass silently
+    real = pencil.branch_decomposition
+
+    def perturbed(disc):
+        decomposition = real(disc)
+        return dataclasses.replace(decomposition, branch=decomposition.branch + T * Y)
+
+    monkeypatch.setattr(pencil, "branch_decomposition", perturbed)
+    with pytest.raises(InternalConsistencyError):
+        pencil_to_double_cover(_pc(1, WITH_C11_G1))
+
+
+def test_pencil_chain_builds_no_validated_polynomial(monkeypatch):
+    # one pencil job's chain, as the pencil-germs benchmark runs it, builds
+    # every polynomial from checked coefficients: no SparsePoly(...) and no
+    # ring product
+    pc = random_pencil(5, random.Random(0))
+    calls = {"__init__": 0, "__mul__": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(SparsePoly, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(SparsePoly, name, counted)
+    disc = discriminant_in_x(pencil_equation(pc))
+    contact_order_at_origin(branch_decomposition(disc).branch)
+    double_cover_branch_germ(pencil_to_double_cover(pc))
+    assert calls == {"__init__": 0, "__mul__": 0}
