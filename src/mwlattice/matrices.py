@@ -10,8 +10,8 @@ number: ints and numpy integers (read as ints) pass, and ``_exact`` also
 passes a Fraction; a bool, float, string or Decimal is a TypeError.  Matrix
 entries are read in one place, ``as_integer_matrix`` (``int_matrix`` is its
 integer view), which runs every entry through ``_exact``.  A public function
-reads its input there once; ``_smith_reduce``, ``_hermite_rows`` and
-``_invariant_factors`` take checked int rows.  The models, divisor classes,
+reads its input there once; ``_smith_reduce``, ``_hermite_insert`` (so
+``_hermite_rows``) and ``_invariant_factors`` take checked int rows.  The models, divisor classes,
 polynomials, pencils and germs read the numbers they are given through the
 same two functions.
 
@@ -44,9 +44,11 @@ the rows of U past the rank span the left kernel (``left_kernel_basis``),
 and the leading rows of ``U @ M`` are a basis of the row lattice, which
 ``mw.mwl`` reads off the same reduction as the invariant factors.
 ``invariant_factors`` reads only the diagonal, so its core first reduces a
-tall matrix (the root list of ``mw``, 552 x 24 at g = 5) to a Hermite form
-of at most ``cols`` rows by unimodular row operations on sparse rows (Cohen,
-GTM 138, section 2.4), and runs the Smith reduction without U on that block.
+tall matrix to a Hermite form of at most ``cols`` rows by unimodular row
+operations on sparse rows (Cohen, GTM 138, section 2.4), and runs the Smith
+reduction without U on that block.  The reduction takes one row at a time
+(``_hermite_insert``), so a caller can stop it early: ``mw`` stops once the
+roots inserted so far span a sublattice of index at most 2.
 """
 
 from __future__ import annotations
@@ -354,41 +356,51 @@ def _reduce_from(table: dict, row: dict, col: int) -> None:
             _add_sparse(row, table[c], -q)
 
 
+def _hermite_insert(table: dict[int, dict], values: Sequence[int]) -> None:
+    """Bring one int row into ``table``, a Hermite form kept as
+    {leading column: sparse pivot row}.
+
+    Every step is a unimodular row operation, so afterwards the pivot rows
+    span the row lattice of the rows inserted so far.  Each pivot row's
+    entries in the other pivot columns lie in [0, pivot), which keeps the
+    rows short: where a pivot is 1, no other pivot row has an entry in its
+    column.
+    """
+    row = {j: x for j, x in enumerate(values) if x}
+    while row:
+        col = min(row)
+        pivot = table.get(col)
+        if pivot is None:
+            if row[col] < 0:
+                row = {j: -x for j, x in row.items()}
+            pivot, row = row, {}
+        else:
+            q = row[col] // pivot[col]
+            if q:
+                _add_sparse(row, pivot, -q)
+            if col not in row:
+                continue
+            # Euclid on the pair, both positive in ``col``: ``pivot``
+            # ends with their gcd there and ``row`` with a zero.
+            while col in row:
+                _add_sparse(pivot, row, -(pivot[col] // row[col]))
+                pivot, row = row, pivot
+        table[col] = pivot
+        _reduce_from(table, pivot, col + 1)
+        for c, other in table.items():
+            if c < col:
+                _reduce_from(table, other, col)
+
+
 def _hermite_rows(m: Sequence[Sequence[int]]) -> list[dict]:
     """Rows of a Hermite form of ``m``, sparse, in order of leading column.
 
-    They span the row lattice of ``m`` (every step is a unimodular row
-    operation), so they have the same invariant factors, and there are at
-    most as many of them as columns.  Each pivot row's entries in the other
-    pivot columns lie in [0, pivot), which keeps the rows short: where a
-    pivot is 1, no other pivot row has an entry in its column.
+    They span the row lattice of ``m``, so they have the same invariant
+    factors, and there are at most as many of them as columns.
     """
-    table: dict[int, dict] = {}  # leading column -> pivot row
+    table: dict[int, dict] = {}
     for values in m:
-        row = {j: x for j, x in enumerate(values) if x}
-        while row:
-            col = min(row)
-            pivot = table.get(col)
-            if pivot is None:
-                if row[col] < 0:
-                    row = {j: -x for j, x in row.items()}
-                pivot, row = row, {}
-            else:
-                q = row[col] // pivot[col]
-                if q:
-                    _add_sparse(row, pivot, -q)
-                if col not in row:
-                    continue
-                # Euclid on the pair, both positive in ``col``: ``pivot``
-                # ends with their gcd there and ``row`` with a zero.
-                while col in row:
-                    _add_sparse(pivot, row, -(pivot[col] // row[col]))
-                    pivot, row = row, pivot
-            table[col] = pivot
-            _reduce_from(table, pivot, col + 1)
-            for c, other in table.items():
-                if c < col:
-                    _reduce_from(table, other, col)
+        _hermite_insert(table, values)
     return [table[c] for c in sorted(table)]
 
 
@@ -399,8 +411,12 @@ def invariant_factors(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 def _invariant_factors(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """:func:`invariant_factors` of checked int rows, at least one of them."""
-    cols = len(m[0])
-    block = [[row.get(j, 0) for j in range(cols)] for row in _hermite_rows(m)]
+    return _hermite_factors(_hermite_rows(m), len(m[0]))
+
+
+def _hermite_factors(rows: Sequence[dict], cols: int) -> tuple[int, ...]:
+    """Invariant factors of sparse Hermite rows with ``cols`` columns."""
+    block = [[row.get(j, 0) for j in range(cols)] for row in rows]
     return _smith_reduce(block, track=False)[1]
 
 

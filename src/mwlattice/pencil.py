@@ -18,7 +18,9 @@ builders that start from them -- ``pencil_equation``,
 ``double_cover_branch_germ`` -- trust those checked coefficients and hand
 them to the polynomial kernel's unvalidated path (``poly._from_rationals``),
 and ``discriminant_in_x`` reads a, b and c in one pass
-(``poly._discriminant``).  ``pencil_to_double_cover`` reads the entries
+(``poly._discriminant``).  ``branch_decomposition`` reads the
+discriminant's exponents in one pass and divides out t y in one shifted
+copy (``poly._shifted``).  ``pencil_to_double_cover`` reads the entries
 once, and it keeps its self-check: it re-derives the branch curve through
 the discriminant and raises on a mismatch, the transfer rules' only
 independent check.
@@ -37,7 +39,7 @@ from .errors import (
     ShapeError,
 )
 from .matrices import _integer
-from .poly import SparsePoly, Z, _discriminant, _from_rationals, _rational
+from .poly import SparsePoly, Z, _discriminant, _from_rationals, _rational, _shifted
 
 
 @dataclass(frozen=True)
@@ -134,23 +136,24 @@ def branch_decomposition(disc: SparsePoly) -> BranchDecomposition:
     """
     if disc.is_zero():
         raise ShapeError("discriminant is identically zero")
-    if disc.uses("x") or disc.uses("z"):
+    ts, xs, ys, zs = zip(*disc.exponents())
+    if any(xs) or any(zs):
         raise ShapeError("discriminant must be a polynomial in t and y only")
-    if disc.order("t") != 1:
+    if min(ts) != 1:
         raise ShapeError("t must divide the discriminant exactly once")
-    if disc.order("y") != 1:
+    if min(ys) != 1:
         raise ShapeError("y must divide the discriminant exactly once")
-    branch = disc.divide_by("t", 1).divide_by("y", 1)
-    if branch.degree("t") != 1:
+    # the branch curve is disc / (t y): its degrees are one less
+    if max(ts) != 2:
         raise ShapeError("branch curve must have degree 1 in t")
-    dy = branch.degree("y")
+    dy = max(ys) - 1
     if dy < 3 or dy % 2 == 0:
         raise ShapeError("branch curve must have odd y-degree at least 3")
     return BranchDecomposition(
         unit=Fraction(1),
         t_exponent=1,
         y_exponent=1,
-        branch=branch,
+        branch=_shifted(disc, (-1, 0, -1, 0)),
         genus=(dy - 1) // 2,
     )
 

@@ -16,8 +16,9 @@ constructor of ring results, which does not validate the exponents again
 (they are sums or shifts of valid exponents).  The same trusted path
 serves the pencil builders, whose coefficients their classes have already
 checked: ``_from_rationals`` puts checked coefficients over one
-denominator, and ``_discriminant`` forms b^2 - 4ac of a quadratic in one
-pass and one ``_make``.
+denominator, ``_discriminant`` forms b^2 - 4ac of a quadratic in one
+pass and one ``_make``, and ``_shifted`` divides out a monomial that the
+caller has seen divide every term.
 
 ``terms`` gives the rational view, exponent -> ``Fraction``, built afresh
 on each call; code that needs only the exponents reads ``exponents()``,
@@ -317,6 +318,15 @@ def _from_rationals(terms: Mapping[Exponent, Fraction]) -> SparsePoly:
     terms = {e: c for e, c in terms.items() if c}
     den = math.lcm(*(c.denominator for c in terms.values()))
     return _new({e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den)
+
+
+def _shifted(p: SparsePoly, shift: Exponent) -> SparsePoly:
+    """p times the monomial with exponent ``shift``, whose entries may be
+    negative when every term of p keeps nonnegative exponents; that is not
+    checked again.  The numerators and the denominator are p's."""
+    s0, s1, s2, s3 = shift
+    return _new({(e0 + s0, e1 + s1, e2 + s2, e3 + s3): c
+                 for (e0, e1, e2, e3), c in p._num.items()}, p._den)
 
 
 def _discriminant(p: SparsePoly, var: str) -> SparsePoly:

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwlattice import lattice
 from mwlattice import matrices as mx
@@ -15,6 +17,7 @@ from mwlattice.mw import (
     EquivalenceReport,
     LatticeIdentification,
     _identify_unimodular,
+    _root_span_factors,
     equivalence_check,
     identify_dn_plus,
     mw_group,
@@ -377,6 +380,140 @@ def test_identify_misses_name_the_invariant():
         miss = identify_both_ways(mx.identity(n))
         assert not miss.matched, n
         assert "norm-1" in miss.reason
+
+
+def test_identify_checks_symmetry_before_the_determinant():
+    # the search refuses an asymmetric form too, but that is no statement
+    # about definiteness: the gate names symmetry, after integrality
+    assert identify_dn_plus(((1, 1), (0, 1))).reason == "Gram matrix is not symmetric"
+    assert identify_dn_plus(((2, 1), (0, 1))).reason == "Gram matrix is not symmetric"
+    assert "not integral" in identify_dn_plus(((Fraction(1, 2), 1), (0, 1))).reason
+    assert identify_dn_plus(E8).matched
+
+
+def reference_identification(n, found):
+    """``_identify_unimodular`` as it was before the early stop: the
+    invariant factors of every upper-half root, from one Hermite pass."""
+    if n != 4 and any(nv == 1 for _, nv in found):
+        return LatticeIdentification(None, "lattice contains norm-1 vectors")
+    roots = [v for v, nv in found if nv == 2]
+    count = len(roots)
+    if count == 0:
+        return LatticeIdentification(None, "lattice has no norm-2 vectors")
+    factors = mx._invariant_factors(roots[count // 2:])
+    if len(factors) != n:
+        return LatticeIdentification(
+            None, "norm-2 vectors span rank %d < %d" % (len(factors), n))
+    if n == 8 and count == 240 and all(f == 1 for f in factors):
+        return LatticeIdentification("D_8^+ = E_8", "240 roots spanning everything")
+    if count != 2 * n * (n - 1):
+        return LatticeIdentification(
+            None, "root count %d, expected %d" % (count, 2 * n * (n - 1)))
+    torsion = [f for f in factors if f > 1]
+    if torsion != [2]:
+        return LatticeIdentification(
+            None, "root sublattice index invariants %s, expected [2]" % (torsion,))
+    return LatticeIdentification("D_%d^+" % n, "%d roots of index-2 span" % count)
+
+
+def direct_sum(a, b):
+    return tuple(tuple(row) + (0,) * len(b) for row in a) + tuple(
+        (0,) * len(a) + tuple(row) for row in b)
+
+
+def unimodular_lattices():
+    """Unimodular Grams whose root spans reach every route of the witness:
+    index 1 (E_8, E_8 + E_8), index 2 (D_12^+, D_16^+, Z^4, Z^n), index 4
+    (Z^2 + D_12^+) and a deficient rank (E_8 + Z)."""
+    d12, d16 = (mx.int_matrix(mwl(scenario_all_irreducible(g)).gram) for g in (2, 3))
+    grams = [E8, d12, d16, mx.identity(4), direct_sum(E8, E8),
+             direct_sum(mx.identity(2), d12), direct_sum(E8, mx.identity(1))]
+    return grams + [mx.identity(n) for n in (1, 2, 3, 5, 7)]
+
+
+UNIMODULAR = unimodular_lattices()
+
+
+@st.composite
+def basis_changes(draw):
+    """A Gram of ``UNIMODULAR`` in a random basis U G U^T, U a product of at
+    most n elementary row operations r_i += +-r_j."""
+    gram = draw(st.sampled_from(UNIMODULAR))
+    n = len(gram)
+    u = [list(row) for row in mx.identity(n)]
+    if n > 1:
+        pairs = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                   st.sampled_from((-1, 1))), max_size=n)
+        for i, j, k in draw(pairs):
+            if i != j:
+                u[i] = [x + k * y for x, y in zip(u[i], u[j])]
+    return mx.matmul(mx.matmul(u, gram), mx.transpose(u))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(basis_changes())
+def test_identification_matches_the_full_hermite_pass(gram):
+    n = len(gram)
+    found = short_vectors_with_norms(gram, 2)
+    assert _identify_unimodular(n, found) == reference_identification(n, found)
+    roots = [v for v, nv in found if nv == 2]
+    upper = roots[len(roots) // 2:]
+    if upper:
+        assert _root_span_factors(n, upper) == mx._invariant_factors(upper)
+
+
+@st.composite
+def row_lists(draw):
+    """Up to 12 rows of small ints with n <= 5 columns, n as well."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=12))
+    return n, rows
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(row_lists())
+def test_early_stop_factors_match_the_full_hermite_pass(case):
+    # random rows reach every outcome of the early stop: prefixes of index
+    # 1, 2 and more, odd rows after an index-2 prefix, and deficient rank
+    n, rows = case
+    assert _root_span_factors(n, rows) == mx._invariant_factors(rows)
+
+
+def test_a_root_odd_under_the_witness_reads_index_1(monkeypatch):
+    # The 20 upper-half roots of D_5 (norm 2 in Z^5).  The interleaved
+    # prefix (stride 4: rows 0, 4, 8, 12, 16) already spans D_5, of index 2,
+    # with phi = (1, 1, 1, 1, 1); the last row is swapped for a vector odd
+    # under phi, which the Hermite table never sees, so only the parity
+    # pass can tell that the span is all of Z^5.
+    found = [(v, nv) for v, nv in short_vectors_with_norms(mx.identity(5), 2) if nv == 2]
+    upper = [v for v, _ in found[20:]]
+    seen = []
+    real = mx._hermite_insert
+    monkeypatch.setattr(mx, "_hermite_insert", lambda t, v: seen.append(v) or real(t, v))
+    assert _identify_unimodular(5, found) == LatticeIdentification(
+        "D_5^+", "40 roots of index-2 span")
+    assert len(seen) == 5
+    upper[-1] = (1, 1, 1, 0, 0)
+    odd = [(tuple(-x for x in v), 2) for v in reversed(upper)] + [(v, 2) for v in upper]
+    seen.clear()
+    result = _identify_unimodular(5, odd)
+    assert upper[-1] not in seen
+    assert result == reference_identification(5, odd) == LatticeIdentification(
+        None, "root sublattice index invariants [], expected [2]")
+
+
+def test_maximal_identification_reduces_at_most_3n_roots(monkeypatch):
+    # the sorted order would reach full rank only after most of the
+    # 2n(n-1)/2 upper-half roots (65 of 132 at g = 2, 507 of 552 at g = 5)
+    seen = []
+    real = mx._hermite_insert
+    monkeypatch.setattr(mx, "_hermite_insert", lambda t, v: seen.append(v) or real(t, v))
+    for g in range(1, 6):
+        n = 4 * g + 4
+        for d in range(g + 2):
+            seen.clear()
+            assert mwl(scenario_all_irreducible(g, d)).identified_as is not None
+            assert 0 < len(seen) <= 3 * n, (g, d, len(seen))
 
 
 def test_identify_rejects_e8_plus_z():

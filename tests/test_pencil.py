@@ -145,6 +145,24 @@ def test_branch_decomposition_rejects_bad_shapes():
         branch_decomposition(T * Y * (Y + T))  # y-degree too small
 
 
+@pytest.mark.parametrize("disc,message", [
+    (SparsePoly.zero(), "discriminant is identically zero"),
+    # each input below also breaks every check after the one it names
+    (X * T * T * Y * Y * (Y ** 5 + T ** 3), "discriminant must be a polynomial in t and y only"),
+    (Z * T * T * Y * Y * (Y ** 5 + T ** 3), "discriminant must be a polynomial in t and y only"),
+    (T * T * Y * Y * (Y ** 5 + T ** 3), "t must divide the discriminant exactly once"),
+    (1 + Y * Y * (Y ** 5 + T ** 3), "t must divide the discriminant exactly once"),
+    (T * Y * Y * (Y ** 5 + T * T), "y must divide the discriminant exactly once"),
+    (T * Y * (Y ** 4 + T * T), "branch curve must have degree 1 in t"),
+    (T * Y * (Y ** 4 + T), "branch curve must have odd y-degree at least 3"),
+    (T * Y * (Y + T), "branch curve must have odd y-degree at least 3"),
+])
+def test_branch_decomposition_checks_in_order(disc, message):
+    with pytest.raises(ShapeError) as excinfo:
+        branch_decomposition(disc)
+    assert str(excinfo.value) == message
+
+
 def test_contact_order():
     bd = branch_decomposition(
         discriminant_in_x(pencil_equation(_pc(1, MINIMAL_G1)))
