@@ -127,15 +127,15 @@ def orthogonal_complement(
     ``form`` is the symmetric N x N ambient form.  Dependent rows span the
     same space, so they have the same complement; an empty basis gives I_N.
     """
-    form = mx.int_matrix(form)
     n = len(form)
     if any(len(row) != n for row in form):
         raise FormError("ambient form must be square")
+    form = mx.int_matrix(form)
     if any(form[i][j] != form[j][i] for i in range(n) for j in range(i)):
         raise FormError("ambient form must be symmetric")
-    basis = mx.int_matrix(basis)
     if any(len(row) != n for row in basis):
         raise FormError("basis rows must match the ambient rank")
+    basis = mx.int_matrix(basis)
     return mx.left_kernel_basis(mx.matmul(form, mx.transpose(basis)))
 
 
@@ -197,6 +197,7 @@ def ldl(gram: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], mx.Matrix]:
     short-vector search runs on.  Raises FormError when the form is not
     square, symmetric and positive definite.
     """
+    _check_square(gram)
     igram, scale = mx.as_integer_matrix(gram)
     minors, num = _bareiss_ldl(igram)
     n = len(igram)

@@ -9,11 +9,11 @@ clarity and verifiability over asymptotics.
 number: ints and numpy integers (read as ints) pass, and ``_exact`` also
 passes a Fraction; a bool, float, string or Decimal is a TypeError.  Matrix
 entries are read in one place, ``as_integer_matrix`` (``int_matrix`` is its
-integer view), which runs every entry through ``_exact``.  A public function
-reads its input there once; ``_smith_reduce``, ``_hermite_insert`` (so
-``_hermite_rows``) and ``_invariant_factors`` take checked int rows.  The models, divisor classes,
-polynomials, pencils and germs read the numbers they are given through the
-same two functions.
+integer view), which reads the rows through ``mat``, so a ragged matrix is a
+ValueError, and runs every entry through ``_exact``.  A public function
+reads its input there once; ``_smith_reduce`` takes checked int rows.  The
+models, divisor classes, polynomials, pencils and germs read the numbers
+they are given through the same two functions.
 
 There is one matrix product, ``matmul``.  It reads each operand once, with
 ``np.array``, so a ragged operand is a ValueError.  When both reads are 2-D
@@ -43,12 +43,7 @@ carries only the row transform U (``U @ M @ V == S``; V is never built):
 the rows of U past the rank span the left kernel (``left_kernel_basis``),
 and the leading rows of ``U @ M`` are a basis of the row lattice, which
 ``mw.mwl`` reads off the same reduction as the invariant factors.
-``invariant_factors`` reads only the diagonal, so its core first reduces a
-tall matrix to a Hermite form of at most ``cols`` rows by unimodular row
-operations on sparse rows (Cohen, GTM 138, section 2.4), and runs the Smith
-reduction without U on that block.  The reduction takes one row at a time
-(``_hermite_insert``), so a caller can stop it early: ``mw`` stops once the
-roots inserted so far span a sublattice of index at most 2.
+``invariant_factors`` and ``mw.mw_group`` run it without U.
 """
 
 from __future__ import annotations
@@ -128,7 +123,7 @@ def as_integer_matrix(m: Sequence[Sequence]) -> tuple[IntMatrix, int]:
     ``den`` is the lcm of the entries' denominators, so ``int_matrix`` is
     ``den * m`` exactly.  Every entry goes through ``_exact``.
     """
-    rows = tuple(tuple(row) for row in m)
+    rows = mat(m)
     if all(type(x) is int for row in rows for x in row):
         return rows, 1
     rows = [[_exact(x) for x in row] for row in rows]
@@ -234,7 +229,7 @@ def _solve_left_and_rank(a: Sequence[Sequence], b: Sequence):
     the pivots of the a^T block count the rank.
     """
     n = len(a)
-    aug, _ = as_integer_matrix([*col, y] for col, y in zip(transpose(a), b))
+    aug, _ = as_integer_matrix([*col, y] for col, y in zip(transpose(mat(a)), b))
     aug = list(aug)
     pivots, _ = _bareiss(aug, n)
     if any(row[n] for row in aug[len(pivots):]):
@@ -336,88 +331,9 @@ def _smith_reduce(m: Sequence[Sequence[int]], track: bool):
     return u, tuple(a[i][i] for i in range(min(rows, cols)) if a[i][i] != 0)
 
 
-def _add_sparse(dst: dict, src: dict, factor: int) -> None:
-    # dst += factor * src, for rows stored as {column: nonzero value}
-    for j, x in src.items():
-        y = dst.get(j, 0) + factor * x
-        if y:
-            dst[j] = y
-        else:
-            del dst[j]
-
-
-def _reduce_from(table: dict, row: dict, col: int) -> None:
-    # Bring ``row``'s entries in the pivot columns >= col into [0, pivot).
-    # Each step changes only columns at or right of its pivot column, so
-    # one pass in increasing column order leaves them all reduced.
-    for c in sorted(c for c in table if c >= col):
-        q = row.get(c, 0) // table[c][c]
-        if q:
-            _add_sparse(row, table[c], -q)
-
-
-def _hermite_insert(table: dict[int, dict], values: Sequence[int]) -> None:
-    """Bring one int row into ``table``, a Hermite form kept as
-    {leading column: sparse pivot row}.
-
-    Every step is a unimodular row operation, so afterwards the pivot rows
-    span the row lattice of the rows inserted so far.  Each pivot row's
-    entries in the other pivot columns lie in [0, pivot), which keeps the
-    rows short: where a pivot is 1, no other pivot row has an entry in its
-    column.
-    """
-    row = {j: x for j, x in enumerate(values) if x}
-    while row:
-        col = min(row)
-        pivot = table.get(col)
-        if pivot is None:
-            if row[col] < 0:
-                row = {j: -x for j, x in row.items()}
-            pivot, row = row, {}
-        else:
-            q = row[col] // pivot[col]
-            if q:
-                _add_sparse(row, pivot, -q)
-            if col not in row:
-                continue
-            # Euclid on the pair, both positive in ``col``: ``pivot``
-            # ends with their gcd there and ``row`` with a zero.
-            while col in row:
-                _add_sparse(pivot, row, -(pivot[col] // row[col]))
-                pivot, row = row, pivot
-        table[col] = pivot
-        _reduce_from(table, pivot, col + 1)
-        for c, other in table.items():
-            if c < col:
-                _reduce_from(table, other, col)
-
-
-def _hermite_rows(m: Sequence[Sequence[int]]) -> list[dict]:
-    """Rows of a Hermite form of ``m``, sparse, in order of leading column.
-
-    They span the row lattice of ``m``, so they have the same invariant
-    factors, and there are at most as many of them as columns.
-    """
-    table: dict[int, dict] = {}
-    for values in m:
-        _hermite_insert(table, values)
-    return [table[c] for c in sorted(table)]
-
-
 def invariant_factors(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Nonzero diagonal entries of the Smith normal form of ``m``."""
-    return _invariant_factors(int_matrix(m)) if m and m[0] else ()
-
-
-def _invariant_factors(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """:func:`invariant_factors` of checked int rows, at least one of them."""
-    return _hermite_factors(_hermite_rows(m), len(m[0]))
-
-
-def _hermite_factors(rows: Sequence[dict], cols: int) -> tuple[int, ...]:
-    """Invariant factors of sparse Hermite rows with ``cols`` columns."""
-    block = [[row.get(j, 0) for j in range(cols)] for row in rows]
-    return _smith_reduce(block, track=False)[1]
+    return _smith_reduce(int_matrix(m), track=False)[1]
 
 
 def left_kernel_basis(m: Sequence[Sequence[int]]) -> IntMatrix:

@@ -20,15 +20,19 @@ reduction without U.
 
 D_n^+ is identified by the index of its root span R in the lattice L,
 which is unimodular, so L = Z^n in the coordinates of the search.  The
-upper-half roots enter one Hermite table until its n pivots multiply to at
-most 2; their span R' then has that index, and R' <= R <= L.  Index 1 means
-R = L.  Index 2 means R' = ker phi for the one nonzero phi: L -> Z/2, read
-off the triangular rows mod 2, and one parity pass over every root decides:
-R = R' when every root is even under phi, else R = L.  If the roots run out
-first, the table is the whole Hermite form.  Either way the invariant
-factors are exact, and most roots are never reduced: on the maximal
-scenarios of g = 1..5 the interleaved order stops within 3n of them, where
-the search's sorted order reaches full rank only near the end.
+upper-half roots enter one echelon table, {leading column: sparse row}
+with positive pivots, until its n pivots multiply to at most 2; their span
+R' then has that index, and R' <= R <= L.  Any echelon basis gives the
+index as its pivot product and the same phi below, so no row is reduced
+above the pivots, which would only make the Hermite form canonical (Cohen,
+GTM 138, section 2.4).  Index 1 means R = L.  Index 2 means R' = ker phi
+for the one nonzero phi: L -> Z/2, read off the triangular rows mod 2, and
+one parity pass over every root decides: R = R' when every root is even
+under phi, else R = L.  If the roots run out first, the table rows span R
+and their Smith reduction gives the factors.  Most roots never enter the
+table: on the maximal scenarios of g = 1..5 the interleaved order stops
+within 3n of them, where the search's sorted order reaches full rank only
+near the end.
 """
 
 from __future__ import annotations
@@ -225,19 +229,19 @@ def _root_span_factors(n: int, roots: list) -> tuple[int, ...]:
     """Invariant factors of the span R of ``roots`` inside Z^n, the
     coordinates of a unimodular lattice.
 
-    The roots enter one Hermite table in interleaved order (stride
+    The roots enter one echelon table in interleaved order (stride
     s = ceil(len / n): rows 0, s, 2s, ..., then 1, 1 + s, ...), which
     reaches full rank far sooner than the search's sorted order.  The table
     stops as soon as its n pivots multiply to at most 2, the index of the
     span R' of the roots so far; see the module docstring for why the
-    factors are then exact.  If the roots run out first, the table is the
-    whole Hermite form and its Smith reduction gives the factors.
+    factors are then exact.  If the roots run out first, the table rows
+    span R and their Smith reduction gives the factors.
     """
     table: dict[int, dict] = {}
     stride = -(-len(roots) // n)
     for start in range(stride):
         for root in roots[start::stride]:
-            mx._hermite_insert(table, root)
+            _echelon_insert(table, root)
             if len(table) == n:
                 index = 1
                 for c, row in table.items():
@@ -246,11 +250,49 @@ def _root_span_factors(n: int, roots: list) -> tuple[int, ...]:
                     return (1,) * n
                 if index == 2:
                     return _index_two_factors(n, table, roots)
-    return mx._hermite_factors([table[c] for c in sorted(table)], n)
+    rows = [[row.get(j, 0) for j in range(n)] for row in table.values()]
+    return mx._smith_reduce(rows, track=False)[1]
+
+
+def _add_sparse(dst: dict, src: dict, factor: int) -> None:
+    # dst += factor * src, for rows stored as {column: nonzero value}
+    for j, x in src.items():
+        y = dst.get(j, 0) + factor * x
+        if y:
+            dst[j] = y
+        else:
+            del dst[j]
+
+
+def _echelon_insert(table: dict[int, dict], values) -> None:
+    """Bring one int row into ``table``, an echelon form kept as
+    {leading column: sparse row} with positive pivots.
+
+    Every step is a unimodular row operation, so afterwards the table rows
+    span the row lattice of the rows inserted so far.
+    """
+    row = {j: x for j, x in enumerate(values) if x}
+    while row:
+        col = min(row)
+        pivot = table.get(col)
+        if pivot is None:
+            if row[col] < 0:
+                row = {j: -x for j, x in row.items()}
+            table[col] = row
+            return
+        q = row[col] // pivot[col]
+        if q:
+            _add_sparse(row, pivot, -q)
+        # Euclid on the pair, both positive in ``col``: ``pivot`` ends
+        # with their gcd there and ``row`` with a zero.
+        while col in row:
+            _add_sparse(pivot, row, -(pivot[col] // row[col]))
+            pivot, row = row, pivot
+        table[col] = pivot
 
 
 def _index_two_factors(n: int, table: dict[int, dict], roots: list) -> tuple[int, ...]:
-    """Factors of R from a full-rank Hermite table whose span R' has index 2.
+    """Factors of R from a full-rank echelon table whose span R' has index 2.
 
     R' is the kernel of the one nonzero phi: Z^n -> Z/2.  On triangular rows
     with one pivot 2 at column c2 and pivot 1 elsewhere, back-substitution

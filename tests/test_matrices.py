@@ -141,6 +141,17 @@ def test_invariant_factors_known():
     assert mx.invariant_factors(((6,),)) == (6,)
 
 
+@pytest.mark.parametrize("call", [mx.invariant_factors, mx.left_kernel_basis, mx.int_matrix,
+                                  mx.as_integer_matrix, lambda m: mx._solve_left_and_rank(m, (0, 0))],
+                         ids=["invariant_factors", "left_kernel_basis", "int_matrix",
+                              "as_integer_matrix", "solve_left"])
+@pytest.mark.parametrize("m", [((1, 2), (3,)), ((2,), (4, 6)), ((Fraction(1, 2), 1), (1,))])
+def test_ragged_matrix_is_rejected(call, m):
+    # the entry gate reads rows through ``mat``: a short row is no zero-padded one
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        call(m)
+
+
 def test_solve_left():
     a = ((1, 2), (3, 4))
     y = mx._solve_left_and_rank(a, (4, 6))[0]
@@ -252,7 +263,7 @@ def test_rank_and_solve_left_properties(m, data):
 def _tall_integer_matrices(draw):
     """Up to 10 x 4, at least as many rows as columns, like ``mw``'s root
     lists: each row is fresh, zero, or an earlier row scaled, duplicated or
-    negated, so the Hermite pre-pass meets every kind of dependent row."""
+    negated, so the Smith reduction meets every kind of dependent row."""
     cols = draw(st.integers(1, 4))
     rows = []
     for _ in range(draw(st.integers(cols, 10))):

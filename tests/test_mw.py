@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mwlattice import lattice
 from mwlattice import matrices as mx
+from mwlattice import mw
 from mwlattice.catalog import _cycle_scenario, build_catalog, catalog_entry
 from mwlattice.errors import FormError, InvalidModelError
 from mwlattice.lattice import AbelianGroupInvariants, short_vectors_with_norms
@@ -187,16 +188,15 @@ def test_mwl_runs_two_bareiss_eliminations(g, monkeypatch):
 
 def test_mwl_reduces_the_generators_once(monkeypatch):
     # The group and T's basis both come from one Smith reduction with U;
-    # no Hermite pass over the generators (``mw_group``'s route) remains.
+    # no second reduction of the generators (``mw_group``'s) remains.
     sc = catalog_entry("g1-two-fibers").scenario
     gens = trivial_lattice_generators(sc)
     seen = []
-    for name in ("_smith_reduce", "_hermite_rows"):
-        real = getattr(mx, name)
-        monkeypatch.setattr(mx, name, lambda m, *a, real=real, name=name, **kw: (
-            seen.append((name, tuple(map(tuple, m)))) or real(m, *a, **kw)))
+    real = mx._smith_reduce
+    monkeypatch.setattr(mx, "_smith_reduce", lambda m, *a, **kw: (
+        seen.append(tuple(map(tuple, m))) or real(m, *a, **kw)))
     mwl(sc)
-    assert [name for name, m in seen if m == gens] == ["_smith_reduce"]
+    assert seen.count(gens) == 1
 
 
 def test_mwl_reads_each_matrix_once(monkeypatch):
@@ -393,14 +393,14 @@ def test_identify_checks_symmetry_before_the_determinant():
 
 def reference_identification(n, found):
     """``_identify_unimodular`` as it was before the early stop: the
-    invariant factors of every upper-half root, from one Hermite pass."""
+    invariant factors of every upper-half root, from the public Smith route."""
     if n != 4 and any(nv == 1 for _, nv in found):
         return LatticeIdentification(None, "lattice contains norm-1 vectors")
     roots = [v for v, nv in found if nv == 2]
     count = len(roots)
     if count == 0:
         return LatticeIdentification(None, "lattice has no norm-2 vectors")
-    factors = mx._invariant_factors(roots[count // 2:])
+    factors = mx.invariant_factors(roots[count // 2:])
     if len(factors) != n:
         return LatticeIdentification(
             None, "norm-2 vectors span rank %d < %d" % (len(factors), n))
@@ -459,7 +459,7 @@ def test_identification_matches_the_full_hermite_pass(gram):
     roots = [v for v, nv in found if nv == 2]
     upper = roots[len(roots) // 2:]
     if upper:
-        assert _root_span_factors(n, upper) == mx._invariant_factors(upper)
+        assert _root_span_factors(n, upper) == mx.invariant_factors(upper)
 
 
 @st.composite
@@ -476,20 +476,59 @@ def test_early_stop_factors_match_the_full_hermite_pass(case):
     # random rows reach every outcome of the early stop: prefixes of index
     # 1, 2 and more, odd rows after an index-2 prefix, and deficient rank
     n, rows = case
-    assert _root_span_factors(n, rows) == mx._invariant_factors(rows)
+    assert _root_span_factors(n, rows) == mx.invariant_factors(rows)
+
+
+@st.composite
+def echelon_inputs(draw):
+    """Up to 12 rows with n <= 6 columns and entries -4..4, n as well: each
+    row is fresh, zero, or a repeat or negation of an earlier row."""
+    n = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(("fresh", "fresh", "zero", "repeat", "negated")))
+        if kind in ("repeat", "negated") and rows:
+            row = draw(st.sampled_from(rows))
+            rows.append(row if kind == "repeat" else tuple(-x for x in row))
+        elif kind == "zero":
+            rows.append((0,) * n)
+        else:
+            rows.append(draw(st.tuples(*[st.integers(-4, 4)] * n)))
+    return n, rows
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(echelon_inputs())
+def test_echelon_insert_keeps_an_echelon_basis_of_the_span(case):
+    n, rows = case
+    table = {}
+    for k, values in enumerate(rows, 1):
+        mw._echelon_insert(table, values)
+        assert all(min(row) == c and row[c] > 0 for c, row in table.items())
+        factors = mx.invariant_factors(rows[:k])
+        assert len(table) == len(factors)
+        dense = [[row.get(j, 0) for j in range(n)] for row in table.values()]
+        assert mx.invariant_factors(dense) == factors
+        pivots = 1
+        for c, row in table.items():
+            pivots *= row[c]
+        if len(table) == n and pivots == 2:
+            # every row so far lies in the span, the kernel of phi, so
+            # the parity pass finds none odd
+            assert mw._index_two_factors(n, table, rows[:k]) == (1,) * (n - 1) + (2,)
 
 
 def test_a_root_odd_under_the_witness_reads_index_1(monkeypatch):
     # The 20 upper-half roots of D_5 (norm 2 in Z^5).  The interleaved
     # prefix (stride 4: rows 0, 4, 8, 12, 16) already spans D_5, of index 2,
     # with phi = (1, 1, 1, 1, 1); the last row is swapped for a vector odd
-    # under phi, which the Hermite table never sees, so only the parity
+    # under phi, which the echelon table never sees, so only the parity
     # pass can tell that the span is all of Z^5.
     found = [(v, nv) for v, nv in short_vectors_with_norms(mx.identity(5), 2) if nv == 2]
     upper = [v for v, _ in found[20:]]
     seen = []
-    real = mx._hermite_insert
-    monkeypatch.setattr(mx, "_hermite_insert", lambda t, v: seen.append(v) or real(t, v))
+    real = mw._echelon_insert
+    monkeypatch.setattr(mw, "_echelon_insert", lambda t, v: seen.append(v) or real(t, v))
     assert _identify_unimodular(5, found) == LatticeIdentification(
         "D_5^+", "40 roots of index-2 span")
     assert len(seen) == 5
@@ -506,8 +545,8 @@ def test_maximal_identification_reduces_at_most_3n_roots(monkeypatch):
     # the sorted order would reach full rank only after most of the
     # 2n(n-1)/2 upper-half roots (65 of 132 at g = 2, 507 of 552 at g = 5)
     seen = []
-    real = mx._hermite_insert
-    monkeypatch.setattr(mx, "_hermite_insert", lambda t, v: seen.append(v) or real(t, v))
+    real = mw._echelon_insert
+    monkeypatch.setattr(mw, "_echelon_insert", lambda t, v: seen.append(v) or real(t, v))
     for g in range(1, 6):
         n = 4 * g + 4
         for d in range(g + 2):
