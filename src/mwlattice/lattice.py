@@ -106,6 +106,7 @@ class AbelianGroupInvariants:
 
 def cokernel_invariants(rows: Sequence[Sequence[int]], ambient_rank: int) -> AbelianGroupInvariants:
     """Invariants of Z^ambient_rank modulo the subgroup generated by ``rows``."""
+    ambient_rank = mx._integer(ambient_rank)
     rows = mx.mat(rows)
     for row in rows:
         if len(row) != ambient_rank:

@@ -37,13 +37,15 @@ runs it at most twice, in ``det`` of T's Gram matrix and in ``dual_gram``.
 runs on its data, and it is the check, shared with the box oracle, that a
 Gram matrix is positive definite.
 
-There is one Smith reduction: the classical row/column reduction, including
-the divisibility fix-up, so the diagonal entries divide successively.  It
-carries only the row transform U (``U @ M @ V == S``; V is never built):
-the rows of U past the rank span the left kernel (``left_kernel_basis``),
-and the leading rows of ``U @ M`` are a basis of the row lattice, which
-``mw.mwl`` reads off the same reduction as the invariant factors.
-``invariant_factors`` and ``mw.mw_group`` run it without U.
+There is one Smith reduction, ``_smith_reduce``: the classical row/column
+reduction, including the divisibility fix-up, so the diagonal entries
+divide successively.  It carries only the row transform U
+(``U @ M @ V == S``; V is never built).  Two callers run it with U:
+``left_kernel_basis``, whose answer is the rows of U past the rank, and
+``mw.mwl``, which reads a basis of the row lattice off the leading rows of
+``U @ M`` in the same reduction as the invariant factors.  One runs it
+without U: ``invariant_factors``, through which ``lattice.cokernel_invariants``
+(``mw.mw_group``) and ``mw``'s root-span factors ask.
 """
 
 from __future__ import annotations
@@ -229,7 +231,11 @@ def _solve_left_and_rank(a: Sequence[Sequence], b: Sequence):
     the pivots of the a^T block count the rank.
     """
     n = len(a)
-    aug, _ = as_integer_matrix([*col, y] for col, y in zip(transpose(mat(a)), b))
+    a = mat(a)
+    if a and len(b) != len(a[0]):
+        raise ValueError("right-hand side of length %d for rows of length %d"
+                         % (len(b), len(a[0])))
+    aug, _ = as_integer_matrix([*col, y] for col, y in zip(transpose(a), b))
     aug = list(aug)
     pivots, _ = _bareiss(aug, n)
     if any(row[n] for row in aug[len(pivots):]):

@@ -9,14 +9,15 @@ is positive definite whenever the scenario is consistent.
 
 ``mwl`` reduces the generator matrix once, with its row transform U: the
 invariant factors give the group, and the leading rows of U times the
-generators a basis B of T.  One product F B^T, F the sign-flipped form,
-gives T's Gram matrix B (F B^T) and the complement C (the rows of the Smith
-transform of F B^T past its rank), whose Gram matrix is C F C^T.  These
+generators a basis B of T.  No public function returns U, so this is the
+one Smith reduction that ``mw`` runs itself; ``mw_group`` is
+``cokernel_invariants`` of the generators.  One product F B^T, F the
+sign-flipped form, gives T's Gram matrix B (F B^T) and the complement C,
+the ``left_kernel_basis`` of F B^T, whose Gram matrix is C F C^T.  These
 integer rows pass between stages unchecked; they are independent by
 construction, so a rank is a row count.  An integer G has an integral
 inverse iff det G = +-1 (det G det G^-1 = 1; G^-1 = +-adj G), so the D_n^+
-check reads integrality off the discriminant.  ``mw_group`` runs the first
-reduction without U.
+check reads integrality off the discriminant.
 
 D_n^+ is identified by the index of its root span R in the lattice L,
 which is unimodular, so L = Z^n in the coordinates of the search.  The
@@ -53,6 +54,7 @@ from .fibers import (
 from .lattice import (
     AbelianGroupInvariants,
     _group_from_factors,
+    cokernel_invariants,
     dual_gram,
     short_vectors_with_norms,
 )
@@ -69,8 +71,7 @@ def trivial_lattice_generators(scenario: Scenario) -> mx.IntMatrix:
 
 def mw_group(scenario: Scenario) -> AbelianGroupInvariants:
     """Invariants of NS(X)/T; the free part is the Mordell-Weil rank."""
-    factors = mx._smith_reduce(trivial_lattice_generators(scenario), track=False)[1]
-    return _group_from_factors(scenario.model.rank, factors)
+    return cokernel_invariants(trivial_lattice_generators(scenario), scenario.model.rank)
 
 
 def mw_rank_by_formula(scenario: Scenario) -> int:
@@ -116,8 +117,7 @@ def mwl(scenario: Scenario) -> MWLReport:
     fbt = mx.matmul(form, mx.transpose(t_basis))
     t_gram = mx.matmul(t_basis, fbt)
     t_disc = abs(mx.det(t_gram)) if t_gram else Fraction(1)
-    w, kernel_factors = mx._smith_reduce(fbt, track=True)
-    complement = mx.mat(w[len(kernel_factors):])
+    complement = mx.left_kernel_basis(fbt)
     if complement:
         dual, c_disc = dual_gram(mx.matmul(mx.matmul(complement, form), mx.transpose(complement)))
         discriminant = Fraction(1) / c_disc
@@ -251,7 +251,7 @@ def _root_span_factors(n: int, roots: list) -> tuple[int, ...]:
                 if index == 2:
                     return _index_two_factors(n, table, roots)
     rows = [[row.get(j, 0) for j in range(n)] for row in table.values()]
-    return mx._smith_reduce(rows, track=False)[1]
+    return mx.invariant_factors(rows)
 
 
 def _add_sparse(dst: dict, src: dict, factor: int) -> None:

@@ -14,14 +14,15 @@ import pytest
 TRACER = Path(__file__).resolve().parents[1] / "mwbench" / "tracer.py"
 
 
-def _targets():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("mwbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.TARGETS
+    return tracer
 
 
-TARGETS = _targets()
+tracer_module = _load_tracer()
+TARGETS = tracer_module.TARGETS
 
 
 @pytest.mark.parametrize("module_name,path", TARGETS,
@@ -36,3 +37,21 @@ def test_tracer_target_resolves(module_name, path):
     else:
         target = getattr(owner, path)
     assert callable(target)
+
+
+def test_mw_asks_its_smith_questions_through_the_traced_functions():
+    # mw_group goes through cokernel_invariants to invariant_factors, and
+    # mwl takes its complement from left_kernel_basis, so both spans read calls
+    from mwlattice import catalog, mw
+
+    scenario = catalog._cycle_scenario(2, 5)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        mw.mw_group(scenario)
+        mw.mwl(scenario)
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans()
+    assert spans["matrices.invariant_factors"][0] >= 1
+    assert spans["matrices.left_kernel_basis"][0] == 1

@@ -162,6 +162,13 @@ def test_solve_left():
     assert mx._solve_left_and_rank(((1, 1), (2, 2)), (3, 3))[0] == (3, 0)
 
 
+@pytest.mark.parametrize("b", [(1,), (1, 2, 5)], ids=["short", "long"])
+def test_solve_left_refuses_a_right_hand_side_of_the_wrong_length(b):
+    # (1,) read rank 1 off a rank-2 matrix; (1, 2, 5) gave (1, 0) and dropped the 5
+    with pytest.raises(ValueError, match="^right-hand side of length"):
+        mx._solve_left_and_rank(((1, 2), (3, 4)), b)
+
+
 def test_left_kernel_basis_annihilates():
     m = ((1, 2, 3), (2, 4, 6), (0, 1, 1))
     k = mx.left_kernel_basis(m)

@@ -201,8 +201,9 @@ def test_mwl_reduces_the_generators_once(monkeypatch):
 
 def test_mwl_reads_each_matrix_once(monkeypatch):
     # One product F B^T gives T's Gram matrix and the complement, and the
-    # stages pass checked int rows on: the gate reads only T's Gram matrix
-    # (det), the complement's (dual_gram) and the rational dual (the search).
+    # stages pass checked int rows on: the gate reads four matrices, each
+    # once: F B^T (left_kernel_basis), T's Gram matrix (det), the
+    # complement's (dual_gram) and the rational dual (the search).
     scenarios = [entry.scenario for entry in build_catalog()]
     scenarios += [scenario_all_irreducible(g, d) for g in range(1, 6) for d in range(g + 2)]
     calls = []
@@ -214,7 +215,7 @@ def test_mwl_reads_each_matrix_once(monkeypatch):
     for sc in scenarios:
         calls.clear()
         if mwl(sc).rank:
-            assert (calls.count("as_integer_matrix"), calls.count("matmul")) == (3, 5), sc.name
+            assert (calls.count("as_integer_matrix"), calls.count("matmul")) == (4, 5), sc.name
             checked += 1
     assert (len(scenarios), checked) == (39, 36)  # three catalog entries have rank 0
 

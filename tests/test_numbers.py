@@ -1,9 +1,10 @@
 """One rule for the numbers the polynomial half of the package is given.
 
-Polynomials, pencils, double covers, divisor classes and germs read every
-number through ``matrices._exact`` and ``matrices._integer``, the gate the
-lattice half uses (``tests/test_lattice.py::ENTRY_POLICY``): an int, a numpy
-integer or, where a rational is wanted, a Fraction.  A bool, float, string
+Polynomials, pencils, double covers, divisor classes, germs and the ambient
+rank of ``lattice.cokernel_invariants`` read every number through
+``matrices._exact`` and ``matrices._integer``, the gate the lattice half
+uses (``tests/test_lattice.py::ENTRY_POLICY``): an int, a numpy integer or,
+where a rational is wanted, a Fraction.  A bool, float, string
 or Decimal is a TypeError with the module's message, and a numpy integer
 gives the answer the Python int gives.
 """
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from mwlattice.ade import classify_ade_germ
+from mwlattice.lattice import cokernel_invariants
 from mwlattice.pencil import DoubleCoverCoefficients, PencilCoefficients
 from mwlattice.poly import T, Y, SparsePoly
 from mwlattice.surface import SurfaceModel, exceptional
@@ -59,6 +61,7 @@ NUMBER_RULE = {
     "pencil genus": (lambda v: PencilCoefficients(v, ((2, 0, 1), (0, 1, 1))), TypeError, INTEGER),
     "double cover genus": (lambda v: DoubleCoverCoefficients(v, 1, 1, (1,) * 5),
                            TypeError, INTEGER),
+    "cokernel_invariants rank": (lambda v: cokernel_invariants(((1, 0),), v), TypeError, INTEGER),
 }
 
 BAD = [True, False, 2.0, "2", Decimal(2)]
