@@ -8,10 +8,12 @@ and bound b, every vector v with v G v^T <= b satisfies
 
 (Cauchy-Schwarz against the dual basis), so enumerating the integer box
 with those radii and filtering by the exact norm is a complete search.
-The set-up runs once per call: the Gram matrix is scaled to integers once,
-the search's LDL check (``lattice._bareiss_ldl``) refuses a form that is
-not positive definite, and the Gauss-Jordan ``matrices._bareiss`` of (G | I)
-gives the radii (see :func:`_box_radii`); no rational inverse is built.
+The set-up runs once per call: the Gram gate (``lattice._integer_gram``)
+refuses a non-square or non-symmetric matrix and scales it to integers
+once, the search's LDL check (``lattice._bareiss_ldl``) refuses a form that
+is not positive definite, and the Gauss-Jordan ``matrices._bareiss`` of
+(G | I) gives the radii (see :func:`_box_radii`); no rational inverse is
+built.
 
 Two interchangeable backends exist:
 
@@ -49,7 +51,7 @@ from typing import Sequence
 import numpy as _np
 
 from . import matrices as mx
-from .lattice import _bareiss_ldl, _check_square
+from .lattice import _bareiss_ldl, _integer_gram
 
 _TILE = 1 << 20  # norms computed per tile
 _FLOAT64_EXACT_LIMIT = 1 << 50
@@ -150,9 +152,9 @@ def _box_fits_float64(gram, radii, tn, td) -> bool:
 def _box_radii(int_gram: Sequence[Sequence[int]], threshold) -> list[int]:
     """Radii floor(sqrt(threshold * (G^-1)_ii)) of the box holding every short vector.
 
-    G is an integer Gram matrix and ``threshold`` (an int or a Fraction) the
-    norm bound for it.  ``lattice._bareiss_ldl``, the search's own check,
-    raises FormError unless G is square, symmetric and positive definite;
+    G is the Gram gate's rows (``lattice._integer_gram``) and ``threshold``
+    (an int or a Fraction) the norm bound for it.  ``lattice._bareiss_ldl``,
+    the search's own check, raises FormError unless G is positive definite;
     then ``matrices._bareiss`` of (G | I) ends at (d I | adj G) with
     d = det G, so (G^-1)_ii = adj_ii / d.
     """
@@ -172,11 +174,10 @@ def box_short_vectors(gram: Sequence[Sequence], bound) -> tuple[tuple[int, ...],
     result is sorted lexicographically; same contract as
     :func:`mwlattice.lattice.short_vectors`.
     """
-    _check_square(gram)
+    int_gram, scale = _integer_gram(gram)
     bound = mx._exact(bound)
-    if len(gram) == 0 or bound < 0:
+    if len(int_gram) == 0 or bound < 0:
         return ()
-    int_gram, scale = mx.as_integer_matrix(gram)
     threshold = bound * scale
     radii = _box_radii(int_gram, threshold)
     tn, td = threshold.numerator, threshold.denominator

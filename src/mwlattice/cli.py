@@ -50,7 +50,8 @@ from .serialize import (
 from .verify import run_all
 
 # The largest genus of a --g, a verify-all range or a transfer coefficient
-# file; at g = 32, mwl of D_132^+ takes about 12 s on a 2-core x86-64 machine.
+# file; at g = 32, mwl of D_132^+ takes 5.3 to 7.9 s on a 2-core x86-64
+# machine (Python 3.11).
 _MAX_GENUS = 32
 
 

@@ -7,10 +7,14 @@ Everything is exact: determinants are integers or rationals, short vectors
 come from an integer Fincke-Pohst search, and quotient groups are read off
 Smith normal forms.
 
-The search scales a rational Gram matrix to integers, s G, once and factors
-it fraction-free (Bareiss): the leading principal minors D_0 = 1, D_1, ...,
-D_n and integer numerators N_ij give the LDL data d_i = D_{i+1} / D_i and
-r_ij = N_ij / D_{i+1}, with N_ii = D_{i+1}.  Each level divides its row by
+Every Gram entry point (the search, ``ldl``, ``size_reduce``, ``dual_gram``,
+``vector_norms``, the box scan and its oracle) reads its matrix first
+through one gate, ``_integer_gram``: a non-square or non-symmetric matrix
+is a FormError, and the entries, read by the number rule, come back scaled
+to integers, s G.  The search factors s G fraction-free (Bareiss): the
+leading principal minors D_0 = 1, D_1, ..., D_n and integer numerators N_ij
+give the LDL data d_i = D_{i+1} / D_i and r_ij = N_ij / D_{i+1}, with
+N_ii = D_{i+1}.  Each level divides its row by
 g_i = gcd_j N_ij, giving piv_i = D_{i+1} / g_i and row_ij = N_ij / g_i, and
 puts its weight g_i^2 / (D_i D_{i+1} s) in lowest terms u_i / v_i; with
 L = lcm_i(v_i),
@@ -142,36 +146,37 @@ def orthogonal_complement(
 
 def dual_gram(gram: Sequence[Sequence]):
     """Gram matrix of the dual basis and |det| of the original Gram."""
-    _check_square(gram)
+    igram, scale = _integer_gram(gram)
     try:
-        inv, d = mx._inverse_and_det(gram)
+        inv, d = mx._inverse_and_det(igram, scale)
     except ValueError as exc:
         raise FormError("degenerate Gram matrix") from exc
     return inv, abs(d)
 
 
-def _check_square(gram) -> None:
+def _integer_gram(gram: Sequence[Sequence]) -> tuple[mx.IntMatrix, int]:
+    """The Gram gate: (s G, s) for a square, symmetric matrix G.
+
+    Raises FormError when G is not square, before any entry is read; reads
+    the entries through ``matrices.as_integer_matrix``; then raises
+    FormError when G is not symmetric.
+    """
     n = len(gram)
     if any(len(row) != n for row in gram):
         raise FormError("Gram matrix must be square")
-
-
-def _check_symmetric(gram) -> None:
-    n = len(gram)
-    if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
+    igram, scale = mx.as_integer_matrix(gram)
+    if any(igram[i][j] != igram[j][i] for i in range(n) for j in range(i)):
         raise FormError("Gram matrix must be symmetric")
+    return igram, scale
 
 
 def _bareiss_ldl(igram: mx.IntMatrix) -> tuple[tuple[int, ...], list[list[int]]]:
-    """Fraction-free LDL data of a positive definite integer Gram matrix.
+    """Fraction-free LDL data of the gate's rows (``_integer_gram``).
 
     Returns (D, N): the leading principal minors D[0] = 1, ..., D[n] and the
     rows N[i][j] (j >= i) of the Bareiss elimination, with N[i][i] = D[i+1].
-    Raises FormError when the form is not square, symmetric and positive
-    definite.
+    Raises FormError when the form is not positive definite.
     """
-    _check_square(igram)
-    _check_symmetric(igram)
     n = len(igram)
     a = [list(row) for row in igram]
     minors = [1]
@@ -195,11 +200,11 @@ def ldl(gram: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], mx.Matrix]:
 
     Returns (d, r) with Q(x) = sum_i d_i (x_i + sum_{j>i} r_ij x_j)^2.
     This is the rational view of the fraction-free factorisation the
-    short-vector search runs on.  Raises FormError when the form is not
-    square, symmetric and positive definite.
+    short-vector search runs on.  Raises FormError when the gate
+    (``_integer_gram``) refuses the matrix or the form is not positive
+    definite.
     """
-    _check_square(gram)
-    igram, scale = mx.as_integer_matrix(gram)
+    igram, scale = _integer_gram(gram)
     minors, num = _bareiss_ldl(igram)
     n = len(igram)
     d = tuple(Fraction(minors[i + 1], minors[i] * scale) for i in range(n))
@@ -222,8 +227,8 @@ def short_vectors_with_norms(gram, bound) -> tuple[tuple[tuple[int, ...], Fracti
     level where it cannot; a vector's remaining budget gives ``v G v^T``
     exactly, so each norm comes free with its vector, as one Fraction per
     distinct norm.
-    Raises FormError when the form is not square, symmetric and positive
-    definite.
+    Raises FormError when the gate (``_integer_gram``) refuses the matrix,
+    before the bound is read, or the form is not positive definite.
     """
     vectors, remaining, top, unit = _search(gram, bound)
     norms = {r: Fraction(top - r, unit) for r in set(remaining)}
@@ -246,12 +251,11 @@ def _search(gram, bound):
     Python integers, the remaining integer budget of each, and the integers
     with norm(v) = (top - remaining) / unit.
     """
-    _check_square(gram)
+    igram, scale = _integer_gram(gram)
     bound = mx._exact(bound)
-    n = len(gram)
+    n = len(igram)
     if n == 0 or bound < 0:
         return (), [], 0, 1
-    igram, scale = mx.as_integer_matrix(gram)
     minors, num = _bareiss_ldl(igram)
     # Level i keeps t_i = sum_{j>=i} N_ij x_j / g_i, g_i the gcd of its row,
     # with the weight u_i / v_i = g_i^2 / (D_i D_{i+1} scale) in lowest terms.
@@ -318,8 +322,9 @@ def _level_reach(top, ci, piv, row, colmax) -> int:
 
 def vector_norms(gram, vectors):
     """The norms v G v^T of integer vectors: ints for an integral Gram
-    matrix, Fractions for a rational one."""
-    igram, scale = mx.as_integer_matrix(gram)
+    matrix, Fractions for a rational one.  G goes through the gate
+    (``_integer_gram``) first."""
+    igram, scale = _integer_gram(gram)
     vectors = mx.int_matrix(vectors)
     norms = (sum(x * y for x, y in zip(v, w)) for v, w in zip(vectors, mx.matmul(vectors, igram)))
     if scale == 1:
@@ -338,12 +343,10 @@ def size_reduce(gram):
     The loop runs on the Gram matrix scaled to integers: every decision it
     takes (a quotient rounded half to even, a comparison of norms, an order
     by norm) is the same for s G as for G, so only the reduced Gram matrix
-    is divided by the scale s at the end.  Raises FormError when the Gram
-    matrix is not square and symmetric.
+    is divided by the scale s at the end.  Raises FormError when the gate
+    (``_integer_gram``) refuses the matrix.
     """
-    _check_square(gram)
-    igram, scale = mx.as_integer_matrix(gram)
-    _check_symmetric(igram)
+    igram, scale = _integer_gram(gram)
     g = [list(row) for row in igram]
     n = len(g)
     t = [list(row) for row in mx.identity(n)]

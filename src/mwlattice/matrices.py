@@ -11,9 +11,11 @@ passes a Fraction; a bool, float, string or Decimal is a TypeError.  Matrix
 entries are read in one place, ``as_integer_matrix`` (``int_matrix`` is its
 integer view), which reads the rows through ``mat``, so a ragged matrix is a
 ValueError, and runs every entry through ``_exact``.  A public function
-reads its input there once; ``_smith_reduce`` takes checked int rows.  The
-models, divisor classes, polynomials, pencils and germs read the numbers
-they are given through the same two functions.
+reads its input there once; ``_smith_reduce`` and ``_inverse_and_det``
+take checked int rows.  A Gram matrix is read there through one gate,
+``lattice._integer_gram``, which also refuses a non-square or non-symmetric
+one.  The models, divisor classes, polynomials, pencils and germs read the
+numbers they are given through the same two functions.
 
 There is one matrix product, ``matmul``.  It reads each operand once, with
 ``np.array``, so a ragged operand is a ValueError.  When both reads are 2-D
@@ -33,9 +35,9 @@ exact integer divisions and no ``Fraction`` is built until the result.
 ``lattice.dual_gram``, ``fibers.fiber_multiplicities`` (through
 ``_solve_left_and_rank``) and ``boxenum._box_radii`` run it; ``mw.mwl``
 runs it at most twice, in ``det`` of T's Gram matrix and in ``dual_gram``.
-``lattice._bareiss_ldl`` is the symmetric LDL one: the Fincke-Pohst search
-runs on its data, and it is the check, shared with the box oracle, that a
-Gram matrix is positive definite.
+``lattice._bareiss_ldl`` is the symmetric LDL one, on the Gram gate's rows:
+the Fincke-Pohst search runs on its data, and it is the check, shared with
+the box oracle, that a Gram matrix is positive definite.
 
 There is one Smith reduction, ``_smith_reduce``: the classical row/column
 reduction, including the divisibility fix-up, so the diagonal entries
@@ -177,11 +179,11 @@ def _bareiss(a: list, ncols: int) -> tuple[list[int], int]:
     return pivots, sign * prev
 
 
-def det(m: Sequence[Sequence]):
+def det(m: Sequence[Sequence]) -> Fraction:
     """Determinant by fraction-free (Bareiss) elimination, exact."""
     n = len(m)
     if n == 0:
-        return 1
+        return Fraction(1)
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
     a, den = as_integer_matrix(m)
@@ -191,15 +193,20 @@ def det(m: Sequence[Sequence]):
 
 def inverse(m: Sequence[Sequence]) -> Matrix:
     """Exact inverse; raises FormError-free ValueError on singular input."""
-    return _inverse_and_det(m)[0]
-
-
-def _inverse_and_det(m: Sequence[Sequence]) -> tuple[Matrix, Fraction]:
-    """Inverse and determinant of a nonsingular matrix, from one elimination."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("inverse of a non-square matrix")
-    a, den = as_integer_matrix(m)
+    return _inverse_and_det(*as_integer_matrix(m))[0]
+
+
+def _inverse_and_det(a: IntMatrix, den: int) -> tuple[Matrix, Fraction]:
+    """Inverse and determinant of the nonsingular matrix m = a / den, from
+    one elimination.
+
+    ``a`` is checked square int rows, as ``as_integer_matrix`` or the Gram
+    gate ``lattice._integer_gram`` returns them with ``den``.
+    """
+    n = len(a)
     aug = [[*row, *e] for row, e in zip(a, identity(n))]
     pivots, d = _bareiss(aug, n)
     if len(pivots) < n:

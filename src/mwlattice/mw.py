@@ -116,7 +116,7 @@ def mwl(scenario: Scenario) -> MWLReport:
     t_basis = mx.matmul(u[:len(factors)], gens)
     fbt = mx.matmul(form, mx.transpose(t_basis))
     t_gram = mx.matmul(t_basis, fbt)
-    t_disc = abs(mx.det(t_gram)) if t_gram else Fraction(1)
+    t_disc = abs(mx.det(t_gram))
     complement = mx.left_kernel_basis(fbt)
     if complement:
         dual, c_disc = dual_gram(mx.matmul(mx.matmul(complement, form), mx.transpose(complement)))
@@ -138,10 +138,10 @@ def mwl(scenario: Scenario) -> MWLReport:
         scenario=scenario.name,
         group=group,
         trivial_rank=len(t_basis),
-        trivial_discriminant=Fraction(t_disc),
+        trivial_discriminant=t_disc,
         rank=len(complement),
         gram=dual,
-        discriminant=Fraction(discriminant),
+        discriminant=discriminant,
         root_count=root_count,
         identified_as=identification.label,
         identification_reason=identification.reason,

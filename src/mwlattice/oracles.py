@@ -18,7 +18,7 @@ from math import gcd, prod
 
 from . import matrices as mx
 from .boxenum import _box_radii, box_short_vectors
-from .lattice import _check_square, size_reduce
+from .lattice import _integer_gram, size_reduce
 from .pencil import PencilCoefficients
 from .poly import SparsePoly, T, Y
 
@@ -73,15 +73,17 @@ def brute_force_short_vectors(gram, bound):
     D_n^+, so neither basis is always the better one.  The answer is the
     same either way.
 
-    Each candidate basis is scaled to integers, checked by the search's
-    LDL and given its box radii by the Gauss-Jordan elimination
-    (:func:`_box_size`); the public :func:`box_short_vectors` runs that
-    set-up once more on the chosen basis, so there are three per call.
-    The scan goes through the public function because the benchmark's
-    tracer counts box scans and points there.  The vectors found in the
-    reduced basis are mapped back by one :func:`matrices.matmul`.
+    The Gram gate (``lattice._integer_gram``) refuses a non-square or
+    non-symmetric matrix before the bound is read.  Each candidate basis
+    is read through the gate, checked by the search's LDL and given its
+    box radii by the Gauss-Jordan elimination (:func:`_box_size`); the
+    public :func:`box_short_vectors` runs that set-up once more on the
+    chosen basis, so there are three per call.  The scan goes through the
+    public function because the benchmark's tracer counts box scans and
+    points there.  The vectors found in the reduced basis are mapped back
+    by one :func:`matrices.matmul`.
     """
-    _check_square(gram)
+    _integer_gram(gram)
     bound = mx._exact(bound)
     if bound < 0:
         return ()
@@ -93,7 +95,7 @@ def brute_force_short_vectors(gram, bound):
 
 
 def _box_size(gram, bound) -> int:
-    int_gram, scale = mx.as_integer_matrix(gram)
+    int_gram, scale = _integer_gram(gram)
     return prod(2 * r + 1 for r in _box_radii(int_gram, bound * scale))
 
 

@@ -141,7 +141,9 @@ def test_dual_gram():
     st.lists(st.fractions(-2, 2, max_denominator=2), min_size=n, max_size=n),
     min_size=n, max_size=n)))
 def test_dual_gram_is_inverse_and_abs_det(rows):
-    m = tuple(map(tuple, rows))
+    # the drawn upper triangle, mirrored: dual_gram takes symmetric matrices
+    n = len(rows)
+    m = tuple(tuple(rows[min(i, j)][max(i, j)] for j in range(n)) for i in range(n))
     d = determinant_by_expansion(m)
     if d == 0:
         with pytest.raises(FormError, match="^degenerate Gram matrix$"):
@@ -179,6 +181,7 @@ NON_SQUARE_ENTRY_POINTS = {
     "brute_force_short_vectors/bound-1": lambda gram: brute_force_short_vectors(gram, -1),
     "box_short_vectors/bound-1": lambda gram: box_short_vectors(gram, -1),
     "identify_dn_plus": identify_dn_plus,
+    "vector_norms": lambda gram: vector_norms(gram, ((1, 0),)),
 }
 
 
@@ -196,6 +199,16 @@ def test_non_square_gram_is_rejected(entry, gram):
     else:
         with pytest.raises(FormError, match="^Gram matrix must be square$"):
             call(gram)
+
+
+@pytest.mark.parametrize(
+    "entry", [e for e in NON_SQUARE_ENTRY_POINTS if e != "identify_dn_plus"])
+@pytest.mark.parametrize(
+    "gram", [((2, 1), (0, 2)), ((Fraction(1, 2), 1), (0, 1))], ids=["int", "rational"])
+def test_non_symmetric_gram_is_rejected(entry, gram):
+    # The same gate refuses the matrix before any bound is read.
+    with pytest.raises(FormError, match="^Gram matrix must be symmetric$"):
+        NON_SQUARE_ENTRY_POINTS[entry](gram)
 
 
 # name -> (call, an integer matrix it takes, whether it takes integers only)
@@ -264,8 +277,9 @@ def test_integer_only_entry_points_refuse_fractions(entry):
 def test_box_radii_refuse_what_the_search_refuses(gram, message):
     calls = [_box_radii, short_vectors]
     if message.startswith("Gram matrix"):
+        # _box_radii takes the gate's rows, so the box scan stands in for it;
         # size_reduce needs a square, symmetric form but no definiteness.
-        calls.append(lambda gram, bound: size_reduce(gram))
+        calls = [box_short_vectors, short_vectors, lambda gram, bound: size_reduce(gram)]
     for call in calls:
         with pytest.raises(FormError, match="^%s$" % message):
             call(gram, 2)

@@ -21,6 +21,11 @@ def test_det_known_values():
     assert mx.det(((1, 2), (2, 4))) == 0
 
 
+@pytest.mark.parametrize("m", [(), ((5,),), ((1, 2), (3, 4))], ids=["0x0", "1x1", "2x2"])
+def test_det_is_a_fraction(m):
+    assert type(mx.det(m)) is Fraction
+
+
 def test_det_rational_entries():
     m = ((Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 4), Fraction(1, 5)))
     assert mx.det(m) == Fraction(1, 10) - Fraction(1, 12)
