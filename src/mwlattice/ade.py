@@ -135,7 +135,8 @@ def _pure_u_powers(f: SparsePoly) -> list[int]:
 
 
 def _a_chain(state: _State) -> GermClassification:
-    """Quadratic part is now lam * u^2; absorb the u-linear tail."""
+    """Quadratic part is now lam (u + s v)^2 with lam != 0; absorb the
+    u-linear tail, starting with s v when s != 0."""
     while True:
         f = state.f
         k_b = _tail_order(f, 1)
@@ -213,9 +214,6 @@ def _classify_mult_two(state: _State) -> GermClassification:
         return state.done(KIND_A, 1, "nondegenerate quadratic part")
     if a == 0:
         state.linear(0, 1, 1, 0)
-        a, c = c, a
-    if b != 0:
-        state.shift_u(b / (2 * a), 1)
     return _a_chain(state)
 
 

@@ -37,7 +37,6 @@ class CatalogEntry:
     scenario: Scenario
     expected_group: AbelianGroupInvariants
     expected_shapes: tuple[str, ...]
-    note: str = ""
 
 
 def _group(rank: int, *torsion: int) -> AbelianGroupInvariants:
@@ -125,7 +124,6 @@ def build_catalog() -> tuple[CatalogEntry, ...]:
                 scenario=scenario_trivial_mw(g),
                 expected_group=_group(0),
                 expected_shapes=(KIND_TRIVIALIZING,),
-                note="distinguished fibre; group side and shape side both trivial",
             )
         )
     for g in (1, 2, 3):
@@ -135,7 +133,6 @@ def build_catalog() -> tuple[CatalogEntry, ...]:
                 scenario=scenario_all_irreducible(g),
                 expected_group=_group(4 * g + 4),
                 expected_shapes=(),
-                note="no reducible fibres; Mordell-Weil lattice is unimodular",
             )
         )
     for g, length, rank in (
@@ -152,7 +149,6 @@ def build_catalog() -> tuple[CatalogEntry, ...]:
                 scenario=_cycle_scenario(g, length),
                 expected_group=_group(rank),
                 expected_shapes=(KIND_OTHER,),
-                note="closed chain of %d components" % length,
             )
         )
     entries.append(
@@ -161,7 +157,6 @@ def build_catalog() -> tuple[CatalogEntry, ...]:
             scenario=_star_scenario_g1(),
             expected_group=_group(4),
             expected_shapes=(KIND_OTHER,),
-            note="multiplicity pattern (2,1,1,1,1)",
         )
     )
     entries.append(
@@ -170,7 +165,6 @@ def build_catalog() -> tuple[CatalogEntry, ...]:
             scenario=_two_fibers_scenario_g1(),
             expected_group=_group(6),
             expected_shapes=(KIND_OTHER, KIND_OTHER),
-            note="two reducible members at distinct parameters",
         )
     )
     names = [e.name for e in entries]

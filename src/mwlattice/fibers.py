@@ -281,14 +281,13 @@ def classify_shape(graph: DualGraph, multiplicities: Sequence[int]) -> FiberShap
     return FiberShape(KIND_OTHER)
 
 
-def to_dot(graph: DualGraph, multiplicities: Sequence[int] | None = None, name: str = "fiber") -> str:
+def to_dot(graph: DualGraph, multiplicities: Sequence[int], name: str = "fiber") -> str:
     """GraphViz source with one node per component, labelled m=..., s=...."""
     lines = ['graph "%s" {' % name.replace('"', "'")]
     for i, node in enumerate(graph.nodes):
-        m = str(multiplicities[i]) if multiplicities else "?"
         lines.append(
             '  n%d [label="%s: m=%s, s=%d"];'
-            % (i, node.label.replace('"', "'"), m, node.self_intersection)
+            % (i, node.label.replace('"', "'"), multiplicities[i], node.self_intersection)
         )
     for i, j, w in graph.edges:
         if w == 1:

@@ -88,16 +88,6 @@ class AbelianGroupInvariants:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
-    @property
-    def order(self):
-        """Group order, or None when infinite."""
-        if self.free_rank:
-            return None
-        result = 1
-        for t in self.torsion:
-            result *= t
-        return result
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:
@@ -323,8 +313,11 @@ def _level_reach(top, ci, piv, row, colmax) -> int:
 def vector_norms(gram, vectors):
     """The norms v G v^T of integer vectors: ints for an integral Gram
     matrix, Fractions for a rational one.  G goes through the gate
-    (``_integer_gram``) first."""
+    (``_integer_gram``) first; a vector whose length is not G's size is a
+    FormError."""
     igram, scale = _integer_gram(gram)
+    if any(len(v) != len(igram) for v in vectors):
+        raise FormError("vectors must match the Gram matrix's size")
     vectors = mx.int_matrix(vectors)
     norms = (sum(x * y for x, y in zip(v, w)) for v, w in zip(vectors, mx.matmul(vectors, igram)))
     if scale == 1:

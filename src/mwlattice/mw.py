@@ -159,10 +159,6 @@ class LatticeIdentification:
     label: str | None
     reason: str
 
-    @property
-    def matched(self) -> bool:
-        return self.label is not None
-
 
 def _miss(reason: str) -> LatticeIdentification:
     return LatticeIdentification(None, reason)

@@ -198,11 +198,6 @@ class SparsePoly:
     def total_degree(self) -> int:
         return max((sum(e) for e in self._num), default=-1)
 
-    def order(self, var: str) -> int:
-        """Smallest exponent of ``var`` over all terms; -1 if zero poly."""
-        i = _index(var)
-        return min((e[i] for e in self._num), default=-1)
-
     def uses(self, var: str) -> bool:
         i = _index(var)
         return any(e[i] for e in self._num)
@@ -224,10 +219,6 @@ class SparsePoly:
         if min(e) < 0:
             raise ValueError("negative power")
         return Fraction(self._num.get(tuple(e), 0), self._den)
-
-    def substitute_value(self, var: str, value) -> "SparsePoly":
-        """Plug a rational constant into one variable."""
-        return self.substitute(var, SparsePoly.const(value))
 
     def substitute(self, var: str, replacement: "SparsePoly") -> "SparsePoly":
         """Plug a polynomial into one variable, exactly.
@@ -254,16 +245,6 @@ class SparsePoly:
                 rest = {e: c * scale for e, c in rest.items()}
             _add_products(out, rest, powers[k])
         return _make(out, self._den * r_den ** top)
-
-    def divide_by(self, var: str, power: int) -> "SparsePoly":
-        """Exact division by var^power; raises if any term lacks the factor."""
-        i, power = _index(var), _integer(power)
-        if power < 0:
-            raise ValueError("negative power")
-        if any(e[i] < power for e in self._num):
-            raise ValueError("%s^%d does not divide every term" % (var, power))
-        return _new({e[:i] + (e[i] - power,) + e[i + 1:]: c
-                     for e, c in self._num.items()}, self._den)
 
     def __str__(self) -> str:
         terms = self.terms

@@ -150,9 +150,6 @@ class BasisIsometry:
         inv = mx.int_matrix(mx.inverse(self.matrix))
         return BasisIsometry(self.target, self.source, inv)
 
-    def determinant(self) -> int:
-        return int(mx.det(self.matrix))
-
 
 def elementary_transformation(scenario: Scenario) -> BasisIsometry:
     """Isometry induced by blowing down E_1 onto the base of the ruling.

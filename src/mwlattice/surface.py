@@ -141,13 +141,6 @@ class DivisorClass:
 
     __mul__ = __rmul__
 
-    @property
-    def self_intersection(self) -> int:
-        return intersect(self, self)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def __str__(self) -> str:
         parts = []
         labels = self.model.basis_labels()

@@ -1,5 +1,7 @@
 """The package's public names: each one in ``__all__`` resolves, once."""
 
+import dataclasses
+
 import mwlattice
 
 
@@ -21,3 +23,18 @@ def test_retired_names_stay_retired():
     # The oracle maps vectors back with ``matrices.matmul``, the one
     # integer product.
     assert not hasattr(mwlattice.oracles, "_map_back")
+    # Members that only their own tests reached; ``substitute(var,
+    # SparsePoly.const(c))``, ``label is not None`` and ``det(iso.matrix)``
+    # say what three of them said.
+    retired = {
+        mwlattice.poly.SparsePoly: ("order", "substitute_value", "divide_by"),
+        mwlattice.lattice.AbelianGroupInvariants: ("order",),
+        mwlattice.mw.LatticeIdentification: ("matched",),
+        mwlattice.surface.DivisorClass: ("self_intersection", "is_zero"),
+        mwlattice.scenarios.BasisIsometry: ("determinant",),
+    }
+    for cls, members in retired.items():
+        for member in members:
+            assert not hasattr(cls, member), (cls.__name__, member)
+    fields = {f.name for f in dataclasses.fields(mwlattice.catalog.CatalogEntry)}
+    assert "note" not in fields

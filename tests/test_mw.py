@@ -357,7 +357,7 @@ def identify_both_ways(gram):
 
 def test_identify_e8():
     result = identify_both_ways(E8)
-    assert result.matched
+    assert result.label is not None
     assert result.label == "D_8^+ = E_8"
     assert "240" in result.reason
 
@@ -379,7 +379,7 @@ def test_identify_misses_name_the_invariant():
     # spanning an index-2 sublattice) but contains unit vectors
     for n in (1, 2, 3, 12):
         miss = identify_both_ways(mx.identity(n))
-        assert not miss.matched, n
+        assert miss.label is None, n
         assert "norm-1" in miss.reason
 
 
@@ -389,7 +389,7 @@ def test_identify_checks_symmetry_before_the_determinant():
     assert identify_dn_plus(((1, 1), (0, 1))).reason == "Gram matrix is not symmetric"
     assert identify_dn_plus(((2, 1), (0, 1))).reason == "Gram matrix is not symmetric"
     assert "not integral" in identify_dn_plus(((Fraction(1, 2), 1), (0, 1))).reason
-    assert identify_dn_plus(E8).matched
+    assert identify_dn_plus(E8).label is not None
 
 
 def reference_identification(n, found):
@@ -563,7 +563,7 @@ def test_identify_rejects_e8_plus_z():
         tuple(list(row) + [0]) for row in E8
     ) + ((0,) * 8 + (1,),)
     miss = identify_both_ways(gram)
-    assert not miss.matched
+    assert miss.label is None
     assert "norm-1" in miss.reason
 
 
@@ -576,7 +576,7 @@ def test_identify_distinguishes_e8e8_from_d16_plus():
         tuple([0] * 8 + list(row)) for row in E8
     )
     miss = identify_both_ways(gram)
-    assert not miss.matched
+    assert miss.label is None
     assert "index invariants" in miss.reason
 
 
@@ -623,5 +623,5 @@ def test_certificate_reports_disagreement():
 
 def test_lattice_identification_record():
     rec = LatticeIdentification("D_4^+", "because")
-    assert rec.matched
-    assert not LatticeIdentification(None, "nope").matched
+    assert (rec.label, rec.reason) == ("D_4^+", "because")
+    assert LatticeIdentification(None, "nope").label is None

@@ -33,7 +33,7 @@ NUMBER_RULE = {
     "SparsePoly": (lambda v: SparsePoly({(1, 0, 0, 0): v}), TypeError, COERCE),
     "const": (lambda v: SparsePoly.const(v), TypeError, COERCE),
     "monomial": (lambda v: SparsePoly.monomial(v, x=1), TypeError, COERCE),
-    "substitute_value": (lambda v: (T * T + Y).substitute_value("t", v), TypeError, COERCE),
+    "substitute_value": (lambda v: (T * T + Y).substitute("t", v), TypeError, COERCE),
     "add": (lambda v: T + v, TypeError, COERCE),
     "radd": (lambda v: v + T, TypeError, COERCE),
     "sub": (lambda v: T - v, TypeError, COERCE),
@@ -49,7 +49,6 @@ NUMBER_RULE = {
                            "^unsupported operand|^can't multiply sequence"),
     "exponent": (lambda v: SparsePoly({(v, 0, 0, 0): 1}), ValueError, EXPONENT),
     "monomial power": (lambda v: SparsePoly.monomial(1, x=v), ValueError, EXPONENT),
-    "divide_by": (lambda v: (T * T * Y).divide_by("t", v), TypeError, INTEGER),
     "coefficient": (lambda v: (T * T * Y).coefficient("t", v), TypeError, INTEGER),
     "term": (lambda v: (T * T * Y).term(t=v, y=1), TypeError, INTEGER),
     "pow": (lambda v: (T + Y) ** v, TypeError, INTEGER),
@@ -70,8 +69,8 @@ BAD = [True, False, 2.0, "2", Decimal(2)]
 @pytest.mark.parametrize("entry", NUMBER_RULE)
 @pytest.mark.parametrize("bad", BAD, ids=["True", "False", "float", "str", "Decimal"])
 def test_only_exact_numbers_pass(entry, bad):
-    # T * True was t, T ** 2.0 a bare '&' error, divide_by("t", 0.5) stored
-    # the exponent 1.5, and classify_ade_germ took max_steps=True.
+    # T * True was t, T ** 2.0 a bare '&' error, and classify_ade_germ took
+    # max_steps=True.
     call, error, message = NUMBER_RULE[entry]
     with pytest.raises(error, match=message):
         call(bad)

@@ -192,14 +192,14 @@ _polys = st.dictionaries(
 def test_contact_order_matches_restriction_to_t_zero(f):
     # the reference restricts to the line t = 0 and reads the y-order there;
     # x and z terms stay in the restriction and count as they do there
-    restricted = f.substitute_value("t", 0)
+    restricted = f.substitute("t", SparsePoly.const(0))
     if restricted.is_zero():
         with pytest.raises(ContactError):
             contact_order_at_origin(f)
         with pytest.raises(ContactError):
             contact_order_at_origin(T * f)
     else:
-        assert contact_order_at_origin(f) == restricted.order("y")
+        assert contact_order_at_origin(f) == min(e[2] for e in restricted.exponents())
 
 
 def test_transfer_minimal_frozen():
@@ -284,7 +284,7 @@ def test_double_cover_equation_and_germ():
     assert psi == Z * Z - germ
     assert germ == 4 * T * Y ** 4 - 4 * T * T * Y + T * T * Y * Y
     # psi restricted to z = 0 is minus the germ
-    assert psi.substitute_value("z", 0) == -germ
+    assert psi.substitute("z", SparsePoly.const(0)) == -germ
 
 
 def test_random_pencil_is_deterministic():

@@ -112,9 +112,6 @@ def test_divisor_arithmetic():
     assert (e1 * 3).coeffs[2] == -3
     assert intersect(e1 - e2, e1 - e2) == -2
     assert intersect(e1, e2) == 0
-    assert e1.self_intersection == -1
-    assert not e1.is_zero()
-    assert (e1 - e1).is_zero()
 
 
 @pytest.mark.parametrize("flag", [True, False])
