@@ -21,7 +21,8 @@ form, so every verdict is exact.
 
 The two local variables ride in the t and y slots of SparsePoly; audit
 messages call them u and v.  Every coordinate change is an exact
-rational substitution and is recorded in the audit log.
+rational substitution and is recorded in the audit log; the swap
+u <-> v exchanges exponents, so its cost does not grow with the degree.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 from .errors import ConfigurationError, InternalConsistencyError, ShapeError
 from .matrices import _integer
-from .poly import SparsePoly, T, Y
+from .poly import SparsePoly, T, Y, _swap_t_y
 
 KIND_A = "A"
 KIND_D = "D"
@@ -107,6 +108,11 @@ class _State:
         if (a, b, c, d) == (1, 0, 0, 1):
             return
         self.spend("u, v -> (%s) u + (%s) v, (%s) u + (%s) v" % (a, b, c, d))
+        if (a, b, c, d) == (0, 1, 1, 0):
+            # u <-> v only moves exponents; a substitution would build
+            # every power of the replacement up to the germ's degree
+            self.f = _swap_t_y(self.f)
+            return
         u_expr = SparsePoly.monomial(a, x=1) + SparsePoly.monomial(b, z=1)
         v_expr = SparsePoly.monomial(c, x=1) + SparsePoly.monomial(d, z=1)
         g = self.f.substitute("t", u_expr).substitute("y", v_expr)

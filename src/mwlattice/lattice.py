@@ -33,7 +33,11 @@ worked out in exact integers before each level from the level data, the
 budget and the frontier's largest coordinates, proves that no intermediate
 of that level reaches 2^62; from the first level it cannot, the same loop
 runs on Python integers, as for the norm-1 vectors (+-2^70, -+1) of
-((1, 2^70), (2^70, 2^140 + 1)).
+((1, 2^70), (2^70, 2^140 + 1)).  The search's result is the last frontier
+itself, sorted: the vectors and their remaining budgets as two arrays,
+from which ``mw`` reads roots and norm-1 vectors as budget comparisons.
+Only the public ``short_vectors`` and ``short_vectors_with_norms`` build
+tuples of Python integers, the latter with one Fraction per distinct norm.
 """
 
 from __future__ import annotations
@@ -220,9 +224,10 @@ def short_vectors_with_norms(gram, bound) -> tuple[tuple[tuple[int, ...], Fracti
     Raises FormError when the gate (``_integer_gram``) refuses the matrix,
     before the bound is read, or the form is not positive definite.
     """
-    vectors, remaining, top, unit = _search(gram, bound)
+    xs, rem, top, unit = _search(gram, bound)
+    remaining = rem.tolist()
     norms = {r: Fraction(top - r, unit) for r in set(remaining)}
-    return tuple(zip(vectors, map(norms.__getitem__, remaining)))
+    return tuple(zip(map(tuple, xs.tolist()), map(norms.__getitem__, remaining)))
 
 
 def short_vectors(gram, bound) -> tuple[tuple[int, ...], ...]:
@@ -231,21 +236,23 @@ def short_vectors(gram, bound) -> tuple[tuple[int, ...], ...]:
     Same search and order as :func:`short_vectors_with_norms`, vectors
     only: no norm is built.
     """
-    return _search(gram, bound)[0]
+    return tuple(map(tuple, _search(gram, bound)[0].tolist()))
 
 
 def _search(gram, bound):
     """Level-wise Fincke-Pohst search for the nonzero vectors of norm <= bound.
 
-    Returns (vectors, remaining, top, unit): the vectors as sorted tuples of
-    Python integers, the remaining integer budget of each, and the integers
-    with norm(v) = (top - remaining) / unit.
+    Returns (xs, rem, top, unit): ``xs`` holds the vectors as sorted rows,
+    ``rem`` the remaining integer budget of each, in the same order, and
+    norm(xs[k]) = (top - rem[k]) / unit.  Both arrays are int64, or object
+    arrays of Python integers once the search has widened; only the public
+    functions turn them into tuples.
     """
     igram, scale = _integer_gram(gram)
     bound = mx._exact(bound)
     n = len(igram)
     if n == 0 or bound < 0:
-        return (), [], 0, 1
+        return np.zeros((0, n), dtype=np.int64), np.zeros(0, dtype=np.int64), 0, 1
     minors, num = _bareiss_ldl(igram)
     # Level i keeps t_i = sum_{j>=i} N_ij x_j / g_i, g_i the gcd of its row,
     # with the weight u_i / v_i = g_i^2 / (D_i D_{i+1} scale) in lowest terms.
@@ -291,7 +298,7 @@ def _search(gram, bound):
     # For distinct integer rows, lexsort on the columns (the first one
     # primary) is tuple order.
     order = np.lexsort(xs.T[::-1])
-    return tuple(map(tuple, xs[order].tolist())), rem[order].tolist(), top, unit
+    return xs[order], rem[order], top, unit
 
 
 def _level_reach(top, ci, piv, row, colmax) -> int:

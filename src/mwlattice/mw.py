@@ -21,14 +21,18 @@ check reads integrality off the discriminant.
 
 D_n^+ is identified by the index of its root span R in the lattice L,
 which is unimodular, so L = Z^n in the coordinates of the search.  The
-upper-half roots enter one echelon table, {leading column: sparse row}
-with positive pivots, until its n pivots multiply to at most 2; their span
-R' then has that index, and R' <= R <= L.  Any echelon basis gives the
-index as its pivot product and the same phi below, so no row is reduced
-above the pivots, which would only make the Hermite form canonical (Cohen,
-GTM 138, section 2.4).  Index 1 means R = L.  Index 2 means R' = ker phi
-for the one nonzero phi: L -> Z/2, read off the triangular rows mod 2, and
-one parity pass over every root decides: R = R' when every root is even
+identification reads the search's arrays (``lattice._search``) as they
+are: a vector's norm is (top - budget) / unit, so the roots are the rows
+whose budget is top - 2 unit and a norm-1 vector has budget top - unit; no
+tuple or Fraction is built.  The upper-half roots enter one echelon table,
+{leading column: sparse row} with positive pivots, until its n pivots
+multiply to at most 2; their span R' then has that index, and
+R' <= R <= L.  Any echelon basis gives the index as its pivot product and
+the same phi below, so no row is reduced above the pivots, which would
+only make the Hermite form canonical (Cohen, GTM 138, section 2.4).
+Index 1 means R = L.  Index 2 means R' = ker phi for the one nonzero
+phi: L -> Z/2, read off the triangular rows mod 2, and one parity pass
+over every root, one array step, decides: R = R' when every root is even
 under phi, else R = L.  If the roots run out first, the table rows span R
 and their Smith reduction gives the factors.  Most roots never enter the
 table: on the maximal scenarios of g = 1..5 the interleaved order stops
@@ -40,7 +44,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+
+import numpy as np
 
 from . import matrices as mx
 from .errors import FormError, InvalidModelError
@@ -54,9 +59,9 @@ from .fibers import (
 from .lattice import (
     AbelianGroupInvariants,
     _group_from_factors,
+    _search,
     cokernel_invariants,
     dual_gram,
-    short_vectors_with_norms,
 )
 from .scenarios import Scenario
 
@@ -121,9 +126,9 @@ def mwl(scenario: Scenario) -> MWLReport:
     if complement:
         dual, c_disc = dual_gram(mx.matmul(mx.matmul(complement, form), mx.transpose(complement)))
         discriminant = Fraction(1) / c_disc
-        found = short_vectors_with_norms(dual, 2)
-        root_count = sum(1 for _, nv in found if nv == 2)
-        identification = (_identify_unimodular(len(dual), found) if c_disc == 1
+        xs, rem, top, unit = _search(dual, 2)
+        root_count = int((rem == top - 2 * unit).sum())
+        identification = (_identify_unimodular(len(dual), xs, rem, top, unit) if c_disc == 1
                           else _miss("Gram matrix is not integral"))
     else:
         dual, discriminant = (), Fraction(1)
@@ -188,26 +193,27 @@ def identify_dn_plus(gram) -> LatticeIdentification:
     if d != 1:
         return _miss("determinant is %s, expected 1" % d)
     try:
-        found = short_vectors_with_norms(igram, 2)
+        found = _search(igram, 2)
     except FormError:
         return _miss("Gram matrix is not positive definite")
-    return _identify_unimodular(n, found)
+    return _identify_unimodular(n, *found)
 
 
-def _identify_unimodular(n: int, found) -> LatticeIdentification:
+def _identify_unimodular(n: int, xs, rem, top: int, unit: int) -> LatticeIdentification:
     """:func:`identify_dn_plus` of a positive definite unimodular lattice of
-    rank n > 0, from ``found``, its ``short_vectors_with_norms(gram, 2)``."""
+    rank n > 0, from its ``lattice._search(gram, 2)``: the sorted vectors
+    ``xs`` and their budgets ``rem``, with norm (top - rem) / unit."""
     # Z^n carries the same root data as D_n^+ but contains unit vectors;
     # the two coincide only at n = 4, where D_4^+ is Z^4.
-    if n != 4 and any(nv == 1 for _, nv in found):
+    if n != 4 and (rem == top - unit).any():
         return _miss("lattice contains norm-1 vectors")
-    roots = [v for v, nv in found if nv == 2]
+    roots = xs[rem == top - 2 * unit]
     count = len(roots)
     if count == 0:
         return _miss("lattice has no norm-2 vectors")
-    # ``found`` is sorted and closed under negation, and negation reverses
-    # the order, so the upper half holds one root of each +- pair: the
-    # same span at half the rows.  They are the search's Python ints.
+    # The vectors are sorted and closed under negation, and negation
+    # reverses the order, so the upper half holds one root of each +- pair:
+    # the same span at half the rows.
     factors = _root_span_factors(n, roots[count // 2:])
     if len(factors) != n:
         return _miss("norm-2 vectors span rank %d < %d" % (len(factors), n))
@@ -221,22 +227,25 @@ def _identify_unimodular(n: int, found) -> LatticeIdentification:
     return LatticeIdentification("D_%d^+" % n, "%d roots of index-2 span" % count)
 
 
-def _root_span_factors(n: int, roots: list) -> tuple[int, ...]:
+def _root_span_factors(n: int, roots) -> tuple[int, ...]:
     """Invariant factors of the span R of ``roots`` inside Z^n, the
     coordinates of a unimodular lattice.
 
-    The roots enter one echelon table in interleaved order (stride
-    s = ceil(len / n): rows 0, s, 2s, ..., then 1, 1 + s, ...), which
-    reaches full rank far sooner than the search's sorted order.  The table
+    ``roots`` is an array of rows, int64 or object.  The roots enter one
+    echelon table in interleaved order (stride s = ceil(len / n): rows 0,
+    s, 2s, ..., then 1, 1 + s, ...), which reaches full rank far sooner
+    than the search's sorted order.  The table
     stops as soon as its n pivots multiply to at most 2, the index of the
     span R' of the roots so far; see the module docstring for why the
     factors are then exact.  If the roots run out first, the table rows
-    span R and their Smith reduction gives the factors.
+    span R and their Smith reduction gives the factors.  Only the rows
+    that enter the table become Python ints, one interleaved slice at a
+    time.
     """
     table: dict[int, dict] = {}
     stride = -(-len(roots) // n)
     for start in range(stride):
-        for root in roots[start::stride]:
+        for root in roots[start::stride].tolist():
             _echelon_insert(table, root)
             if len(table) == n:
                 index = 1
@@ -287,21 +296,23 @@ def _echelon_insert(table: dict[int, dict], values) -> None:
         table[col] = pivot
 
 
-def _index_two_factors(n: int, table: dict[int, dict], roots: list) -> tuple[int, ...]:
+def _index_two_factors(n: int, table: dict[int, dict], roots) -> tuple[int, ...]:
     """Factors of R from a full-rank echelon table whose span R' has index 2.
 
     R' is the kernel of the one nonzero phi: Z^n -> Z/2.  On triangular rows
     with one pivot 2 at column c2 and pivot 1 elsewhere, back-substitution
     mod 2 gives phi_j = 0 past c2, phi_c2 = 1 and, for c < c2,
     phi_c = sum_{j > c} row_c[j] phi_j.  R' <= R <= Z^n, so R = R' when every
-    root is even under phi, and R = Z^n otherwise.
+    root is even under phi, and R = Z^n otherwise.  The parity pass over
+    the root array (int64 or object) takes each entry's parity before it
+    sums, so no int64 sum can wrap.
     """
     c2 = next(c for c, row in table.items() if row[c] == 2)
     phi = [0] * n
     phi[c2] = 1
     for c in range(c2 - 1, -1, -1):  # phi[c] is still 0 here
         phi[c] = sum(x for j, x in table[c].items() if phi[j]) & 1
-    if any(sum(compress(root, phi)) & 1 for root in roots):
+    if ((roots[:, np.array(phi, dtype=bool)] & 1).sum(axis=1) & 1).any():
         return (1,) * n
     return (1,) * (n - 1) + (2,)
 

@@ -18,7 +18,8 @@ serves the pencil builders, whose coefficients their classes have already
 checked: ``_from_rationals`` puts checked coefficients over one
 denominator, ``_discriminant`` forms b^2 - 4ac of a quadratic in one
 pass and one ``_make``, and ``_shifted`` divides out a monomial that the
-caller has seen divide every term.
+caller has seen divide every term; ``_swap_t_y`` exchanges two variables
+on the exponents, for the germ classifier's swap of its local variables.
 
 ``terms`` gives the rational view, exponent -> ``Fraction``, built afresh
 on each call; code that needs only the exponents reads ``exponents()``,
@@ -308,6 +309,13 @@ def _shifted(p: SparsePoly, shift: Exponent) -> SparsePoly:
     s0, s1, s2, s3 = shift
     return _new({(e0 + s0, e1 + s1, e2 + s2, e3 + s3): c
                  for (e0, e1, e2, e3), c in p._num.items()}, p._den)
+
+
+def _swap_t_y(p: SparsePoly) -> SparsePoly:
+    """p with t and y exchanged, read off the exponents alone: a permutation
+    of the exponent vectors keeps the form canonical.  The numerators and
+    the denominator are p's."""
+    return _new({(e2, e1, e0, e3): c for (e0, e1, e2, e3), c in p._num.items()}, p._den)
 
 
 def _discriminant(p: SparsePoly, var: str) -> SparsePoly:

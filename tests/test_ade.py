@@ -196,6 +196,19 @@ def test_budget_exhaustion():
     assert classify_ade_germ(U * U - V ** 5, max_steps=0).label == "A(4)"
 
 
+def test_swap_of_u_and_v_moves_exponents_only(monkeypatch):
+    # v^2 + u^N swaps u and v before its A-chain; the swap exchanges the
+    # exponents, so it costs the same at any N and substitutes nothing
+    calls = []
+    real = SparsePoly.substitute
+    monkeypatch.setattr(SparsePoly, "substitute", lambda *a: calls.append(a) or real(*a))
+    out = classify_ade_germ(Y ** 2 + T ** 1_000_000)
+    assert out.label == "A(999999)"
+    assert out.coordinate_changes == ("u, v -> (0) u + (1) v, (1) u + (0) v",)
+    assert out.detail == "normal form u^2 + v^1000000"
+    assert calls == []
+
+
 def test_negative_budget_is_rejected():
     for germ in (U * U + U * V ** 3, SparsePoly.zero()):
         with pytest.raises(ConfigurationError, match="^max_steps must be nonnegative, got -1$"):

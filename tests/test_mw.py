@@ -4,6 +4,7 @@ import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -351,8 +352,19 @@ def identify_both_ways(gram):
     result = identify_dn_plus(gram)
     igram, den = mx.as_integer_matrix(gram)
     if gram and den == 1 and abs(mx.det(igram)) == 1:
-        assert _identify_unimodular(len(gram), short_vectors_with_norms(gram, 2)) == result
+        assert _identify_unimodular(len(gram), *lattice._search(gram, 2)) == result
     return result
+
+
+def rows_array(rows, n, dtype=np.int64):
+    """Rows of n integers as the array ``_root_span_factors`` reads."""
+    return np.array(rows, dtype=dtype).reshape(len(rows), n)
+
+
+def roots_only(rows, n, dtype=np.int64):
+    """``_identify_unimodular``'s arguments for a search that found
+    exactly ``rows``, each of norm 2: budget 0 of top 2, unit 1."""
+    return rows_array(rows, n, dtype), np.zeros(len(rows), dtype=dtype), 2, 1
 
 
 def test_identify_e8():
@@ -456,11 +468,11 @@ def basis_changes(draw):
 def test_identification_matches_the_full_hermite_pass(gram):
     n = len(gram)
     found = short_vectors_with_norms(gram, 2)
-    assert _identify_unimodular(n, found) == reference_identification(n, found)
+    assert _identify_unimodular(n, *lattice._search(gram, 2)) == reference_identification(n, found)
     roots = [v for v, nv in found if nv == 2]
     upper = roots[len(roots) // 2:]
     if upper:
-        assert _root_span_factors(n, upper) == mx.invariant_factors(upper)
+        assert _root_span_factors(n, rows_array(upper, n)) == mx.invariant_factors(upper)
 
 
 @st.composite
@@ -477,7 +489,7 @@ def test_early_stop_factors_match_the_full_hermite_pass(case):
     # random rows reach every outcome of the early stop: prefixes of index
     # 1, 2 and more, odd rows after an index-2 prefix, and deficient rank
     n, rows = case
-    assert _root_span_factors(n, rows) == mx.invariant_factors(rows)
+    assert _root_span_factors(n, rows_array(rows, n)) == mx.invariant_factors(rows)
 
 
 @st.composite
@@ -516,7 +528,8 @@ def test_echelon_insert_keeps_an_echelon_basis_of_the_span(case):
         if len(table) == n and pivots == 2:
             # every row so far lies in the span, the kernel of phi, so
             # the parity pass finds none odd
-            assert mw._index_two_factors(n, table, rows[:k]) == (1,) * (n - 1) + (2,)
+            assert mw._index_two_factors(n, table, rows_array(rows[:k], n)) == (
+                (1,) * (n - 1) + (2,))
 
 
 def test_a_root_odd_under_the_witness_reads_index_1(monkeypatch):
@@ -525,21 +538,77 @@ def test_a_root_odd_under_the_witness_reads_index_1(monkeypatch):
     # with phi = (1, 1, 1, 1, 1); the last row is swapped for a vector odd
     # under phi, which the echelon table never sees, so only the parity
     # pass can tell that the span is all of Z^5.
-    found = [(v, nv) for v, nv in short_vectors_with_norms(mx.identity(5), 2) if nv == 2]
-    upper = [v for v, _ in found[20:]]
+    roots = [v for v, nv in short_vectors_with_norms(mx.identity(5), 2) if nv == 2]
+    upper = roots[20:]
     seen = []
     real = mw._echelon_insert
-    monkeypatch.setattr(mw, "_echelon_insert", lambda t, v: seen.append(v) or real(t, v))
-    assert _identify_unimodular(5, found) == LatticeIdentification(
+    monkeypatch.setattr(mw, "_echelon_insert", lambda t, v: seen.append(tuple(v)) or real(t, v))
+    assert _identify_unimodular(5, *roots_only(roots, 5)) == LatticeIdentification(
         "D_5^+", "40 roots of index-2 span")
     assert len(seen) == 5
     upper[-1] = (1, 1, 1, 0, 0)
-    odd = [(tuple(-x for x in v), 2) for v in reversed(upper)] + [(v, 2) for v in upper]
-    seen.clear()
-    result = _identify_unimodular(5, odd)
-    assert upper[-1] not in seen
-    assert result == reference_identification(5, odd) == LatticeIdentification(
+    odd = [tuple(-x for x in v) for v in reversed(upper)] + upper
+    expected = reference_identification(5, [(v, 2) for v in odd])
+    assert expected == LatticeIdentification(
         None, "root sublattice index invariants [], expected [2]")
+    # the same rows as int64 and as an object array of Python ints, the
+    # dtype the search hands over once it has widened
+    for dtype in (np.int64, object):
+        seen.clear()
+        assert _identify_unimodular(5, *roots_only(odd, 5, dtype)) == expected
+        assert upper[-1] not in seen and len(seen) == 5
+
+
+def lower_shear(gram, k):
+    """U G U^T for U = I + k (sum of e_{i+1, i}): row i+1 += k row i.  U is
+    unimodular and lower triangular, so each leading block spans what it
+    spanned before; the leading minors and so the search's levels stay as
+    they were, while coordinates grow like k^(n-1)."""
+    n = len(gram)
+    u = [[1 if j == i else k if j == i - 1 else 0 for j in range(n)] for i in range(n)]
+    return mx.matmul(mx.matmul(u, gram), mx.transpose(u))
+
+
+@pytest.mark.parametrize("g", (1, 2))
+def test_identification_reads_a_widened_search(monkeypatch, g):
+    # E_8 and D_12^+ in a sheared basis: the guard of the search's first
+    # levels still fits in int64, a later one reaches 2^62, and the search
+    # finishes on object arrays of Python ints.
+    gram = mx.int_matrix(mwl(scenario_all_irreducible(g)).gram)
+    sheared = lower_shear(gram, 1 << 20)
+    reaches = []
+    real = lattice._level_reach
+    monkeypatch.setattr(lattice, "_level_reach", lambda *a: reaches.append(real(*a)) or reaches[-1])
+    xs, rem, top, unit = lattice._search(sheared, 2)
+    assert top < 1 << 62 <= max(reaches)
+    assert xs.dtype == rem.dtype == object
+    assert max(abs(x) for x in xs.ravel().tolist()) >= 1 << 63
+    expected = identify_dn_plus(gram)
+    assert expected.label == ("D_8^+ = E_8" if g == 1 else "D_12^+")
+    assert identify_dn_plus(sheared) == expected
+    assert _identify_unimodular(len(gram), xs, rem, top, unit) == expected
+    found = short_vectors_with_norms(sheared, 2)
+    assert int((rem == top - 2 * unit).sum()) == sum(nv == 2 for _, nv in found)
+    assert mwl(scenario_all_irreducible(g)).root_count == len(found)
+
+
+@pytest.mark.parametrize("odd", (False, True))
+def test_parity_pass_near_the_int64_limit(monkeypatch, odd):
+    # The first interleaved slice (rows 0, 2, 4) spans an index-2
+    # sublattice of Z^3 with phi = (1, 1, 1), so every row goes through the
+    # parity pass; the other rows have entries near +-2^62, whose raw sums
+    # leave int64.  The last row is odd under phi in one case.
+    big = 1 << 62
+    last = (big + 1, big, big) if odd else (big + 1, big + 1, big)
+    rows = [(1, 1, 0), (big - 1, big - 3, 0), (0, 1, 1),
+            (-(big - 1), 0, big - 1), (0, 0, 2), last]
+    passes = []
+    real = mw._index_two_factors
+    monkeypatch.setattr(mw, "_index_two_factors", lambda *a: passes.append(a) or real(*a))
+    factors = _root_span_factors(3, rows_array(rows, 3))
+    assert len(passes) == 1
+    assert factors == mx.invariant_factors(rows)
+    assert factors == ((1, 1, 1) if odd else (1, 1, 2))
 
 
 def test_maximal_identification_reduces_at_most_3n_roots(monkeypatch):
