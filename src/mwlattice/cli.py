@@ -49,9 +49,9 @@ from .serialize import (
 )
 from .verify import run_all
 
-# The largest genus of a --g, a verify-all range or a transfer coefficient
-# file; at g = 32, mwl of D_132^+ takes 5.3 to 7.9 s on a 2-core x86-64
-# machine (Python 3.11).
+# The largest genus of a --g, a verify-all range, a scenario file or a
+# transfer coefficient file; at g = 32, mwl of D_132^+ takes 5.3 to 7.9 s
+# on a 2-core x86-64 machine (Python 3.11).
 _MAX_GENUS = 32
 
 
@@ -135,7 +135,9 @@ def _read(what: str, reader, path: str):
 
 def _resolve_scenario(args):
     if args.scenario:
-        return _read("scenario file", scenario_from_json, args.scenario)
+        scenario = _read("scenario file", scenario_from_json, args.scenario)
+        _bounded_genus(scenario.genus)
+        return scenario
     if args.g is None:
         raise InputFormatError("--g is required with a built-in scenario")
     build = scenario_trivial_mw if args.trivial_scenario else scenario_all_irreducible

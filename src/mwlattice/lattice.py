@@ -33,11 +33,11 @@ worked out in exact integers before each level from the level data, the
 budget and the frontier's largest coordinates, proves that no intermediate
 of that level reaches 2^62; from the first level it cannot, the same loop
 runs on Python integers, as for the norm-1 vectors (+-2^70, -+1) of
-((1, 2^70), (2^70, 2^140 + 1)).  The search's result is the last frontier
-itself, sorted: the vectors and their remaining budgets as two arrays,
-from which ``mw`` reads roots and norm-1 vectors as budget comparisons.
-Only the public ``short_vectors`` and ``short_vectors_with_norms`` build
-tuples of Python integers, the latter with one Fraction per distinct norm.
+((1, 2^70), (2^70, 2^140 + 1)).  The search's result is the last frontier,
+sorted, with each vector's norm as an integer multiple q of 1 / L,
+q = floor(L * bound) - budget: the budgets stay inside this module, and
+``mw`` reads its roots as the rows with q = 2 L.  Only the public
+``short_vectors`` builds tuples of Python integers.
 """
 
 from __future__ import annotations
@@ -50,10 +50,11 @@ from typing import Sequence
 import numpy as np
 
 from . import matrices as mx
-from .errors import FormError
+from .errors import ConfigurationError, FormError
 from .matrices import _INT64_LIMIT
 
 _isqrt = np.frompyfunc(math.isqrt, 1, 1)
+_INTP_MAX = int(np.iinfo(np.intp).max)
 
 
 def _isqrt64(q):
@@ -210,31 +211,19 @@ def ldl(gram: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], mx.Matrix]:
     return d, r
 
 
-def short_vectors_with_norms(gram, bound) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    """All nonzero vectors of norm <= bound, each paired with its norm.
-
-    ``gram`` is a positive definite Gram matrix (integer or rational
-    entries).  Pairs are sorted lexicographically by vector and closed
-    under negation.  The level-wise Fincke-Pohst search
-    (see the module docstring) runs in int64 while its guard proves that
-    no intermediate reaches 2^62, and on Python integers from the first
-    level where it cannot; a vector's remaining budget gives ``v G v^T``
-    exactly, so each norm comes free with its vector, as one Fraction per
-    distinct norm.
-    Raises FormError when the gate (``_integer_gram``) refuses the matrix,
-    before the bound is read, or the form is not positive definite.
-    """
-    xs, rem, top, unit = _search(gram, bound)
-    remaining = rem.tolist()
-    norms = {r: Fraction(top - r, unit) for r in set(remaining)}
-    return tuple(zip(map(tuple, xs.tolist()), map(norms.__getitem__, remaining)))
-
-
 def short_vectors(gram, bound) -> tuple[tuple[int, ...], ...]:
     """All nonzero vectors of norm <= bound, in basis coordinates.
 
-    Same search and order as :func:`short_vectors_with_norms`, vectors
-    only: no norm is built.
+    ``gram`` is a positive definite Gram matrix (integer or rational
+    entries).  The vectors are sorted lexicographically and closed under
+    negation.  The level-wise Fincke-Pohst search (see the module
+    docstring) runs in int64 while its guard proves that no intermediate
+    reaches 2^62, and on Python integers from the first level where it
+    cannot.  ``vector_norms`` gives their norms.
+    Raises FormError when the gate (``_integer_gram``) refuses the matrix,
+    before the bound is read, or the form is not positive definite, and
+    ConfigurationError when a level admits too many values to count
+    (an unreduced basis; ``size_reduce`` first).
     """
     return tuple(map(tuple, _search(gram, bound)[0].tolist()))
 
@@ -242,17 +231,17 @@ def short_vectors(gram, bound) -> tuple[tuple[int, ...], ...]:
 def _search(gram, bound):
     """Level-wise Fincke-Pohst search for the nonzero vectors of norm <= bound.
 
-    Returns (xs, rem, top, unit): ``xs`` holds the vectors as sorted rows,
-    ``rem`` the remaining integer budget of each, in the same order, and
-    norm(xs[k]) = (top - rem[k]) / unit.  Both arrays are int64, or object
-    arrays of Python integers once the search has widened; only the public
-    functions turn them into tuples.
+    Returns (xs, q, unit): ``xs`` holds the vectors as sorted rows and
+    ``q`` their norms times ``unit``, norm(xs[k]) = q[k] / unit, in the
+    same order.  Both arrays are int64, or object arrays of Python
+    integers once the search has widened; only the public function turns
+    them into tuples.
     """
     igram, scale = _integer_gram(gram)
     bound = mx._exact(bound)
     n = len(igram)
     if n == 0 or bound < 0:
-        return np.zeros((0, n), dtype=np.int64), np.zeros(0, dtype=np.int64), 0, 1
+        return np.zeros((0, n), dtype=np.int64), np.zeros(0, dtype=np.int64), 1
     minors, num = _bareiss_ldl(igram)
     # Level i keeps t_i = sum_{j>=i} N_ij x_j / g_i, g_i the gcd of its row,
     # with the weight u_i / v_i = g_i^2 / (D_i D_{i+1} scale) in lowest terms.
@@ -282,7 +271,13 @@ def _search(gram, bound):
         # |t_i| = |x_i piv_i + s| <= m  with  m = floor(sqrt(rem / c_i)).
         m = (_isqrt if wide else _isqrt64)(rem // ci)
         lo = -((m + s) // piv)
-        counts = ((m - s) // piv + 1 - lo).astype(np.intp)
+        counts = (m - s) // piv + 1 - lo
+        # Counts are >= 0, so the total bounds each one.
+        if wide and counts.sum() > _INTP_MAX:
+            raise ConfigurationError(
+                "level %d of the search admits 2^%d or more values of x_%d; "
+                "reduce the basis first" % (i, _INTP_MAX.bit_length(), i))
+        counts = counts.astype(np.intp)
         # Row k has the children x_i = lo_k, lo_k + 1, ...: new row j, in
         # the block of its parent k that starts at start_k, has
         # x_i = lo_k + j - start_k.
@@ -298,7 +293,7 @@ def _search(gram, bound):
     # For distinct integer rows, lexsort on the columns (the first one
     # primary) is tuple order.
     order = np.lexsort(xs.T[::-1])
-    return xs[order], rem[order], top, unit
+    return xs[order], top - rem[order], unit
 
 
 def _level_reach(top, ci, piv, row, colmax) -> int:

@@ -21,16 +21,15 @@ check reads integrality off the discriminant.
 
 D_n^+ is identified by the index of its root span R in the lattice L,
 which is unimodular, so L = Z^n in the coordinates of the search.  The
-identification reads the search's arrays (``lattice._search``) as they
-are: a vector's norm is (top - budget) / unit, so the roots are the rows
-whose budget is top - 2 unit and a norm-1 vector has budget top - unit; no
-tuple or Fraction is built.  The upper-half roots enter one echelon table,
-{leading column: sparse row} with positive pivots, until its n pivots
-multiply to at most 2; their span R' then has that index, and
-R' <= R <= L.  Any echelon basis gives the index as its pivot product and
-the same phi below, so no row is reduced above the pivots, which would
-only make the Hermite form canonical (Cohen, GTM 138, section 2.4).
-Index 1 means R = L.  Index 2 means R' = ker phi for the one nonzero
+search (``lattice._search``) gives each vector's norm as q / unit, so the
+roots are its rows with q = 2 unit, taken once as an array, and a norm-1
+vector has q = unit; no tuple or Fraction is built.  The upper-half roots
+enter one echelon table, {leading column: sparse row} with positive pivots,
+until its n pivots multiply to at most 2; their span R' then has that
+index, and R' <= R <= L.  Any echelon basis gives the index as its pivot
+product and the same phi below, so no row is reduced above the pivots,
+which would only make the Hermite form canonical (Cohen, GTM 138, section
+2.4).  Index 1 means R = L.  Index 2 means R' = ker phi for the one nonzero
 phi: L -> Z/2, read off the triangular rows mod 2, and one parity pass
 over every root, one array step, decides: R = R' when every root is even
 under phi, else R = L.  If the roots run out first, the table rows span R
@@ -48,7 +47,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import matrices as mx
-from .errors import FormError, InvalidModelError
+from .errors import ConfigurationError, FormError, InvalidModelError
 from .fibers import (
     KIND_TRIVIALIZING,
     FiberShape,
@@ -126,9 +125,10 @@ def mwl(scenario: Scenario) -> MWLReport:
     if complement:
         dual, c_disc = dual_gram(mx.matmul(mx.matmul(complement, form), mx.transpose(complement)))
         discriminant = Fraction(1) / c_disc
-        xs, rem, top, unit = _search(dual, 2)
-        root_count = int((rem == top - 2 * unit).sum())
-        identification = (_identify_unimodular(len(dual), xs, rem, top, unit) if c_disc == 1
+        xs, q, unit = _search(dual, 2)
+        roots = xs[q == 2 * unit]
+        root_count = len(roots)
+        identification = (_identify_unimodular(len(dual), roots, (q == unit).any()) if c_disc == 1
                           else _miss("Gram matrix is not integral"))
     else:
         dual, discriminant = (), Fraction(1)
@@ -193,21 +193,22 @@ def identify_dn_plus(gram) -> LatticeIdentification:
     if d != 1:
         return _miss("determinant is %s, expected 1" % d)
     try:
-        found = _search(igram, 2)
+        xs, q, unit = _search(igram, 2)
     except FormError:
         return _miss("Gram matrix is not positive definite")
-    return _identify_unimodular(n, *found)
+    except ConfigurationError as exc:
+        return _miss(str(exc))
+    return _identify_unimodular(n, xs[q == 2 * unit], (q == unit).any())
 
 
-def _identify_unimodular(n: int, xs, rem, top: int, unit: int) -> LatticeIdentification:
+def _identify_unimodular(n: int, roots, has_unit_vectors) -> LatticeIdentification:
     """:func:`identify_dn_plus` of a positive definite unimodular lattice of
-    rank n > 0, from its ``lattice._search(gram, 2)``: the sorted vectors
-    ``xs`` and their budgets ``rem``, with norm (top - rem) / unit."""
+    rank n > 0, from its ``lattice._search(gram, 2)``: the sorted rows of
+    norm 2 and whether any vector has norm 1."""
     # Z^n carries the same root data as D_n^+ but contains unit vectors;
     # the two coincide only at n = 4, where D_4^+ is Z^4.
-    if n != 4 and (rem == top - unit).any():
+    if n != 4 and has_unit_vectors:
         return _miss("lattice contains norm-1 vectors")
-    roots = xs[rem == top - 2 * unit]
     count = len(roots)
     if count == 0:
         return _miss("lattice has no norm-2 vectors")

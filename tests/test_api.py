@@ -23,6 +23,8 @@ def test_retired_names_stay_retired():
     # The oracle maps vectors back with ``matrices.matmul``, the one
     # integer product.
     assert not hasattr(mwlattice.oracles, "_map_back")
+    # ``short_vectors`` and ``vector_norms`` give what it gave.
+    assert not hasattr(mwlattice.lattice, "short_vectors_with_norms")
     # Members that only their own tests reached; ``substitute(var,
     # SparsePoly.const(c))``, ``label is not None`` and ``det(iso.matrix)``
     # say what three of them said.

@@ -257,6 +257,30 @@ def test_genus_bound_edges(capsys):
     assert "above the largest supported genus" in err
 
 
+def trivial_scenario_file(tmp_path, g):
+    path = tmp_path / ("trivial-%d.json" % g)
+    path.write_text(json.dumps(scenario_to_json(scenario_trivial_mw(g))))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [("mw",), ("fiber",), ("export", "--dot")],
+                         ids=["mw", "fiber", "export"])
+def test_scenario_file_above_the_genus_cap_exits_2(capsys, tmp_path, command):
+    # A scenario file's genus obeys the cap as --g does.
+    path = trivial_scenario_file(tmp_path, _MAX_GENUS + 1)
+    code, out, err = run(capsys, *command, "--scenario", path)
+    assert code == 2
+    assert out == ""
+    assert err == "input error: genus %d is above the largest supported genus %d\n" % (
+        _MAX_GENUS + 1, _MAX_GENUS)
+
+
+def test_scenario_file_at_the_genus_cap_runs(capsys, tmp_path):
+    code, out, _ = run(capsys, "fiber", "--scenario", trivial_scenario_file(tmp_path, _MAX_GENUS))
+    assert code == 0
+    assert "TrivializingFiber(g=%d)" % _MAX_GENUS in out
+
+
 def test_disc_from_coefficients_takes_any_genus(capsys, tmp_path):
     # Its work follows the file's entries, not the genus.
     huge = tmp_path / "huge.json"

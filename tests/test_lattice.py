@@ -1,8 +1,10 @@
 """Integer lattices: quotients, complements, LDL, short vectors."""
 
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from mwlattice import lattice
 from mwlattice import matrices as mx
 from mwlattice.boxenum import _box_radii, box_short_vectors
-from mwlattice.errors import FormError
+from mwlattice.errors import ConfigurationError, FormError
 from mwlattice.lattice import (
     AbelianGroupInvariants,
     _round_quotient,
@@ -21,7 +23,6 @@ from mwlattice.lattice import (
     ldl,
     orthogonal_complement,
     short_vectors,
-    short_vectors_with_norms,
     size_reduce,
     vector_norms,
 )
@@ -170,12 +171,10 @@ NON_SQUARE_ENTRY_POINTS = {
     "size_reduce": size_reduce,
     "dual_gram": dual_gram,
     "short_vectors": lambda gram: short_vectors(gram, 2),
-    "short_vectors_with_norms": lambda gram: short_vectors_with_norms(gram, 2),
     "brute_force_short_vectors": lambda gram: brute_force_short_vectors(gram, 2),
     "box_short_vectors": lambda gram: box_short_vectors(gram, 2),
     # A negative bound has no vectors, but the shape is checked first.
     "short_vectors/bound-1": lambda gram: short_vectors(gram, -1),
-    "short_vectors_with_norms/bound-1": lambda gram: short_vectors_with_norms(gram, -1),
     "brute_force_short_vectors/bound-1": lambda gram: brute_force_short_vectors(gram, -1),
     "box_short_vectors/bound-1": lambda gram: box_short_vectors(gram, -1),
     "identify_dn_plus": identify_dn_plus,
@@ -221,7 +220,6 @@ ENTRY_POLICY = {
     "dual_gram": (dual_gram, A2, False),
     "size_reduce": (size_reduce, ((2, 3), (3, 5)), False),
     "short_vectors": (lambda m: short_vectors(m, 2), A2, False),
-    "short_vectors_with_norms": (lambda m: short_vectors_with_norms(m, 2), A2, False),
     "box_short_vectors": (lambda m: box_short_vectors(m, 2), A2, False),
     "brute_force_short_vectors": (lambda m: brute_force_short_vectors(m, 2), A2, False),
     "identify_dn_plus": (identify_dn_plus, E8, True),
@@ -285,7 +283,6 @@ def test_box_radii_refuse_what_the_search_refuses(gram, message):
 
 BOUND_ENTRY_POINTS = {
     "short_vectors": short_vectors,
-    "short_vectors_with_norms": short_vectors_with_norms,
     "box_short_vectors": box_short_vectors,
     "brute_force_short_vectors": brute_force_short_vectors,
 }
@@ -308,6 +305,12 @@ def test_exact_bounds_pass_unchanged(entry):
     assert call(A2, Fraction(-1, 2)) == ()
 
 
+def search_with_norms(gram, bound):
+    """The vectors of ``lattice._search`` as tuples, each with its norm q / unit."""
+    xs, q, unit = lattice._search(gram, bound)
+    return tuple(zip(map(tuple, xs.tolist()), (Fraction(x, unit) for x in q.tolist())))
+
+
 @pytest.mark.parametrize(
     "gram,norm,count",
     [
@@ -323,7 +326,7 @@ def test_short_vectors_counts(gram, norm, count):
     norms = vector_norms(gram, vectors)
     assert sum(1 for x in norms if x == norm) == count
     # the norms read off the search leaves are the exact v G v^T
-    assert short_vectors_with_norms(gram, norm) == tuple(zip(vectors, norms))
+    assert search_with_norms(gram, norm) == tuple(zip(vectors, norms))
     # closed under negation and sorted
     vs = set(vectors)
     assert all(tuple(-x for x in v) in vs for v in vectors)
@@ -446,11 +449,46 @@ def _rational_gram(draw):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(_rational_gram(), st.fractions(0, 3, max_denominator=4))
 def test_short_vectors_match_box_oracle(gram, bound):
-    found = short_vectors_with_norms(gram, bound)
+    found = search_with_norms(gram, bound)
     vectors = tuple(v for v, _ in found)
     assert vectors == box_short_vectors(gram, bound)
     assert tuple(nv for _, nv in found) == vector_norms(gram, vectors)
     assert all(0 < nv <= bound for _, nv in found)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_rational_gram(), st.fractions(0, 3, max_denominator=4), st.booleans())
+def test_search_norms_are_the_vector_norms(gram, bound, wide):
+    # Row by row, q / unit is v G v^T: on int64 arrays, and on Python
+    # integers when the guard's limit 0 widens the search from the start.
+    with mock.patch.object(lattice, "_INT64_LIMIT", 0 if wide else 1 << 62):
+        xs, q, unit = lattice._search(gram, bound)
+    assert xs.dtype == q.dtype == (object if wide else np.int64)
+    norms = tuple(Fraction(x, unit) for x in q.tolist())
+    assert norms == vector_norms(gram, xs.tolist())
+
+
+def shear_above(gram, k):
+    """U G U^T for U = I + k (sum of e_{i, i+1}): row i += k row i+1."""
+    n = len(gram)
+    u = [[1 if j == i else k if j == i + 1 else 0 for j in range(n)] for i in range(n)]
+    return mx.matmul(mx.matmul(u, gram), mx.transpose(u))
+
+
+def test_search_refuses_a_level_it_cannot_count():
+    # E_8 in the basis U = I + 1000 (superdiagonal): the first level's
+    # range of x_7 has more values than an array index can count, which
+    # raised a bare OverflowError; a reduced basis of the same lattice
+    # searches as usual.
+    sheared = shear_above(E8, 1000)
+    message = "level 7 of the search admits 2^63 or more values of x_7; reduce the basis first"
+    with pytest.raises(ConfigurationError, match="^%s$" % re.escape(message)):
+        short_vectors(sheared, 2)
+    assert identify_dn_plus(sheared) == LatticeIdentification(None, message)
+    reduced, _ = size_reduce(sheared)
+    assert len(short_vectors(reduced, 2)) == 240
+    assert identify_dn_plus(reduced) == LatticeIdentification(
+        "D_8^+ = E_8", "240 roots spanning everything")
 
 
 def _leading_minors(m):
@@ -458,7 +496,7 @@ def _leading_minors(m):
             for k in range(1, len(m) + 1)]
 
 
-SEARCHES = (ldl, lambda gram: short_vectors_with_norms(gram, 2))
+SEARCHES = (ldl, lambda gram: short_vectors(gram, 2))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -475,7 +513,7 @@ def test_search_rejects_exactly_the_non_definite_forms(rows, shift):
     if all(m > 0 for m in minors):  # Sylvester's criterion
         d, _ = ldl(sym)
         assert d == tuple(Fraction(b, a) for a, b in zip([1] + minors, minors))
-        short_vectors_with_norms(sym, 2)
+        short_vectors(sym, 2)
     else:
         for search in SEARCHES:
             with pytest.raises(FormError, match="^form is not positive definite$"):
@@ -501,7 +539,7 @@ def _random_gram(rng, n):
 
 
 def _search_recording_guard(monkeypatch, gram, bound, limit=1 << 62, wide_from=None):
-    """short_vectors_with_norms with the int64 guard's limit set to ``limit``
+    """search_with_norms with the int64 guard's limit set to ``limit``
     (and its verdict forced to "reject" from the level ``wide_from`` on),
     and the value of every guard the search consulted."""
     reaches = []
@@ -516,9 +554,9 @@ def _search_recording_guard(monkeypatch, gram, bound, limit=1 << 62, wide_from=N
     with monkeypatch.context() as m:
         m.setattr(lattice, "_level_reach", record)
         m.setattr(lattice, "_INT64_LIMIT", limit)
-        found = short_vectors_with_norms(gram, bound)
+        found = search_with_norms(gram, bound)
     assert all(type(x) is int for v, _ in found for x in v)
-    assert all(type(nv) is Fraction for _, nv in found)
+    assert tuple(nv for _, nv in found) == vector_norms(gram, [v for v, _ in found])
     return found, reaches
 
 
@@ -545,7 +583,7 @@ def test_search_keeps_coordinates_beyond_int64():
     # +-(b_1 - K b_0), whose coordinate K does not fit in int64.
     k = 1 << 70
     gram = ((1, k), (k, k * k + 1))
-    found = short_vectors_with_norms(gram, 1)
+    found = search_with_norms(gram, 1)
     assert found == (((-k, 1), 1), ((-1, 0), 1), ((1, 0), 1), ((k, -1), 1))
     assert all(type(x) is int for v, _ in found for x in v)
 
@@ -580,10 +618,10 @@ def test_search_square_root_at_float_rounding(monkeypatch, k):
     for name in ("_isqrt", "_isqrt64"):
         root = getattr(lattice, name)
         monkeypatch.setattr(lattice, name, lambda q, root=root: roots.append(int(q.max())) or root(q))
-    assert short_vectors_with_norms(gram, Fraction(k * k - 1, k)) == ()
+    assert short_vectors(gram, Fraction(k * k - 1, k)) == ()
     assert max(roots) == k * k - 1
-    assert lattice._search(gram, Fraction(k * k - 1, k))[2:] == (k * k - 1, k)
-    assert short_vectors_with_norms(gram, k) == (((-1, 0), k), ((1, 0), k))
+    assert lattice._search(gram, Fraction(k * k - 1, k))[2] == k
+    assert search_with_norms(gram, k) == (((-1, 0), k), ((1, 0), k))
 
 
 def test_survey_shaped_search_stays_in_int64():
@@ -594,8 +632,9 @@ def test_survey_shaped_search_stays_in_int64():
     for j in range(1, 8):
         gram[0][j] = gram[j][0] = Fraction(7)
     gram[0][0], gram[6][6] = Fraction(46), Fraction(10, 9)
-    assert lattice._search(gram, 2)[2] < 1 << 62
-    found = short_vectors_with_norms(gram, 2)
+    # at bound 2 the budget is 2 unit
+    assert 2 * lattice._search(gram, 2)[2] < 1 << 62
+    found = search_with_norms(gram, 2)
     vectors = tuple(v for v, _ in found)
     assert len(vectors) == 400
     assert vectors == brute_force_short_vectors(gram, 2)
@@ -608,19 +647,20 @@ def test_search_with_a_budget_beyond_int64():
     # Python integers.
     p, q = (1 << 61) - 1, (1 << 31) - 1
     gram = ((Fraction(p + 1, p), 0), (0, Fraction(q + 1, q)))
-    assert lattice._search(gram, 2)[2].bit_length() == 93
-    found = short_vectors_with_norms(gram, 2)
+    _, scaled_norms, unit = lattice._search(gram, 2)
+    assert (2 * unit).bit_length() == 93 and scaled_norms.dtype == object
+    found = search_with_norms(gram, 2)
     vectors = tuple(v for v, _ in found)
     assert vectors == ((-1, 0), (0, -1), (0, 1), (1, 0))
     assert vectors == brute_force_short_vectors(gram, 2)
     assert tuple(nv for _, nv in found) == vector_norms(gram, vectors)
 
 
-def test_search_builds_one_fraction_per_distinct_norm(monkeypatch):
+def test_search_builds_no_fraction(monkeypatch):
     built = []
     monkeypatch.setattr(lattice, "Fraction", lambda *args: built.append(args) or Fraction(*args))
     vectors = short_vectors(E8, 4)
     assert len(vectors) == 240 + 2160 and not built  # an int bound stays an int
-    found = short_vectors_with_norms(E8, 4)
-    assert tuple(v for v, _ in found) == vectors
-    assert len(built) == 2  # norms 2 and 4
+    xs, q, unit = lattice._search(E8, 4)
+    assert tuple(map(tuple, xs.tolist())) == vectors
+    assert sorted(set(q.tolist())) == [2 * unit, 4 * unit] and not built

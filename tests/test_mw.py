@@ -14,7 +14,7 @@ from mwlattice import matrices as mx
 from mwlattice import mw
 from mwlattice.catalog import _cycle_scenario, build_catalog, catalog_entry
 from mwlattice.errors import FormError, InvalidModelError
-from mwlattice.lattice import AbelianGroupInvariants, short_vectors_with_norms
+from mwlattice.lattice import AbelianGroupInvariants, short_vectors, vector_norms
 from mwlattice.mw import (
     EquivalenceReport,
     LatticeIdentification,
@@ -308,7 +308,9 @@ def test_mwl_searches_stay_in_int64(monkeypatch):
     reaches = []
     real = lattice._level_reach
     monkeypatch.setattr(lattice, "_level_reach", lambda *a: reaches.append(real(*a)) or reaches[-1])
-    budgets = [lattice._search(gram, 2)[2] for gram in (mwl(sc).gram for sc in scenarios) if gram]
+    # at bound 2 the budget is 2 unit
+    budgets = [2 * lattice._search(gram, 2)[2]
+               for gram in (mwl(sc).gram for sc in scenarios) if gram]
     assert len(budgets) == 48 and max(budgets) < 1 << 62
     assert reaches and max(reaches) < 1 << 62
 
@@ -346,13 +348,21 @@ def test_mwl_trivial_lattice_discriminant():
         assert mwl(scenario_all_irreducible(g)).trivial_discriminant == 1
 
 
+def split_search(gram):
+    """``_identify_unimodular``'s arguments after ``lattice._search(gram, 2)``,
+    split as ``mwl`` and ``identify_dn_plus`` split it: the rows of norm 2
+    and whether any row has norm 1."""
+    xs, q, unit = lattice._search(gram, 2)
+    return xs[q == 2 * unit], (q == unit).any()
+
+
 def identify_both_ways(gram):
     """identify_dn_plus, checked on unimodular input against the tail that
     ``mwl`` calls with its own search."""
     result = identify_dn_plus(gram)
     igram, den = mx.as_integer_matrix(gram)
     if gram and den == 1 and abs(mx.det(igram)) == 1:
-        assert _identify_unimodular(len(gram), *lattice._search(gram, 2)) == result
+        assert _identify_unimodular(len(gram), *split_search(gram)) == result
     return result
 
 
@@ -363,8 +373,8 @@ def rows_array(rows, n, dtype=np.int64):
 
 def roots_only(rows, n, dtype=np.int64):
     """``_identify_unimodular``'s arguments for a search that found
-    exactly ``rows``, each of norm 2: budget 0 of top 2, unit 1."""
-    return rows_array(rows, n, dtype), np.zeros(len(rows), dtype=dtype), 2, 1
+    exactly ``rows``, each of norm 2, and no vector of norm 1."""
+    return rows_array(rows, n, dtype), False
 
 
 def test_identify_e8():
@@ -467,8 +477,9 @@ def basis_changes(draw):
 @given(basis_changes())
 def test_identification_matches_the_full_hermite_pass(gram):
     n = len(gram)
-    found = short_vectors_with_norms(gram, 2)
-    assert _identify_unimodular(n, *lattice._search(gram, 2)) == reference_identification(n, found)
+    vectors = short_vectors(gram, 2)
+    found = tuple(zip(vectors, vector_norms(gram, vectors)))
+    assert _identify_unimodular(n, *split_search(gram)) == reference_identification(n, found)
     roots = [v for v, nv in found if nv == 2]
     upper = roots[len(roots) // 2:]
     if upper:
@@ -538,7 +549,8 @@ def test_a_root_odd_under_the_witness_reads_index_1(monkeypatch):
     # with phi = (1, 1, 1, 1, 1); the last row is swapped for a vector odd
     # under phi, which the echelon table never sees, so only the parity
     # pass can tell that the span is all of Z^5.
-    roots = [v for v, nv in short_vectors_with_norms(mx.identity(5), 2) if nv == 2]
+    vectors = short_vectors(mx.identity(5), 2)
+    roots = [v for v, nv in zip(vectors, vector_norms(mx.identity(5), vectors)) if nv == 2]
     upper = roots[20:]
     seen = []
     real = mw._echelon_insert
@@ -579,17 +591,20 @@ def test_identification_reads_a_widened_search(monkeypatch, g):
     reaches = []
     real = lattice._level_reach
     monkeypatch.setattr(lattice, "_level_reach", lambda *a: reaches.append(real(*a)) or reaches[-1])
-    xs, rem, top, unit = lattice._search(sheared, 2)
-    assert top < 1 << 62 <= max(reaches)
-    assert xs.dtype == rem.dtype == object
+    xs, q, unit = lattice._search(sheared, 2)
+    # at bound 2 the budget is 2 unit
+    assert 2 * unit < 1 << 62 <= max(reaches)
+    assert xs.dtype == q.dtype == object
     assert max(abs(x) for x in xs.ravel().tolist()) >= 1 << 63
+    # row by row, q / unit is the norm v G v^T
+    norms = vector_norms(sheared, xs.tolist())
+    assert tuple(Fraction(x, unit) for x in q.tolist()) == norms
     expected = identify_dn_plus(gram)
     assert expected.label == ("D_8^+ = E_8" if g == 1 else "D_12^+")
     assert identify_dn_plus(sheared) == expected
-    assert _identify_unimodular(len(gram), xs, rem, top, unit) == expected
-    found = short_vectors_with_norms(sheared, 2)
-    assert int((rem == top - 2 * unit).sum()) == sum(nv == 2 for _, nv in found)
-    assert mwl(scenario_all_irreducible(g)).root_count == len(found)
+    assert _identify_unimodular(len(gram), xs[q == 2 * unit], (q == unit).any()) == expected
+    assert int((q == 2 * unit).sum()) == sum(nv == 2 for nv in norms)
+    assert mwl(scenario_all_irreducible(g)).root_count == len(norms)
 
 
 @pytest.mark.parametrize("odd", (False, True))
